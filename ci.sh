@@ -121,11 +121,13 @@ cargo run --release -q -p amud-bench --bin bench-kernels -- --smoke --out /tmp/B
 echo "==> bench-precompute --smoke"
 cargo run --release -q -p amud-bench --bin bench-precompute -- --smoke --out /tmp/BENCH_precompute_smoke.json
 
-# Quantization smoke run: fused dequant kernels must match decode-then-
-# compute bitwise, f16/int8 artifacts must clear the 1.7x/3.0x byte-
-# reduction gates on disk AND resident, engine logits must be identical
-# across thread budgets, and the registry accuracy drop stays <= 0.5 pt.
-echo "==> bench-quant --smoke"
-cargo run --release -q -p amud-bench --bin bench-quant -- --smoke --out /tmp/BENCH_quant_smoke.json
+# Quantization smoke run: matmul_deq must match decode-then-matmul
+# bitwise, f16/int8 artifacts must clear the 1.7x/3.0x byte-reduction
+# gates on disk AND resident, engine logits must be identical across
+# thread budgets, the registry accuracy drop stays <= 0.5 pt, and serial
+# matmul timings are gated against the committed baseline (>10% + 0.25 ms
+# per kernel/shape is a regression).
+echo "==> bench-quant --smoke --check"
+cargo run --release -q -p amud-bench --bin bench-quant -- --smoke --out /tmp/BENCH_quant_smoke.json --check BENCH_quant.json
 
 echo "ci: all green"

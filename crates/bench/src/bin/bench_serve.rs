@@ -1,11 +1,14 @@
 //! `bench-serve` — load generator and fault harness for `amud-serve`.
 //!
-//! Starts an in-process server on a synthetic snapshot and drives it
+//! Starts in-process servers on a synthetic snapshot and drives them
 //! through the whole robustness surface in one run:
 //!
 //! 1. **steady load** — Zipf-skewed node popularity (a few nodes take
 //!    most of the queries, the long tail takes the rest), one request at
-//!    a time so every latency sample is a clean round-trip;
+//!    a time so every latency sample is a clean round-trip. This is the
+//!    only timed phase, and it runs on its own server with
+//!    `batch_delay_ms: 0`, so its latency and QPS time the real serving
+//!    path rather than a test sleep;
 //! 2. **overload burst** — concurrent clients slam the bounded queue and
 //!    some of them must be shed with `retry_after_ms`;
 //! 3. **deadline miss** — a `DEADLINE 0` request must come back as a
@@ -17,8 +20,14 @@
 //!    stalls must be disconnected by the read timeout without affecting
 //!    other clients.
 //!
+//! Phases 2–5 run on a second server started after the first has
+//! stopped. It keeps the `batch_delay_ms: 2` hook, which holds admitted
+//! requests in their queue slots long enough for shedding and deadline
+//! misses to be deterministic.
+//!
 //! Results (p50/p99 latency, QPS, shed/timeout/degraded/swap counters)
-//! go to `BENCH_serve.json`. Exit code 1 if any phase fails its gate.
+//! go to `BENCH_serve.json`; `served` sums both servers. Exit code 1 if
+//! any phase fails its gate.
 //!
 //! ```text
 //! cargo run --release -p amud-bench --bin bench-serve             # full load
@@ -144,28 +153,28 @@ fn main() {
     // tensor. Denominator is nodes, numerator the resident feature bytes.
     let bytes_per_query = snapshot.export.feature_bytes() / n_nodes;
 
-    let cfg = ServerConfig {
+    let steady_cfg = ServerConfig {
         snapshot_path: snap_path.clone(),
         queue_capacity: 4,
         max_batch: 8,
         max_connections: 256,
         default_deadline_ms: 10_000,
         watch_interval_ms: 10,
-        batch_delay_ms: 2,
+        batch_delay_ms: 0,
         client_read_timeout_ms: 200,
         ..Default::default()
     };
-    let server = Server::start(cfg).unwrap_or_else(|e| fail(&e.to_string()));
-    let port = server.port();
+    let fault_cfg = ServerConfig { batch_delay_ms: 2, ..steady_cfg.clone() };
+    let server = Server::start(steady_cfg).unwrap_or_else(|e| fail(&e.to_string()));
     println!(
-        "bench-serve: n_nodes={n_nodes} n_requests={n_requests} burst={burst} port={port}{}",
+        "bench-serve: n_nodes={n_nodes} n_requests={n_requests} burst={burst}{}",
         if smoke { " (smoke)" } else { "" }
     );
 
     // -- Phase 1: steady Zipf-skewed load, one clean round-trip per sample.
     let zipf = Zipf::new(n_nodes);
     let mut state = 42u64;
-    let mut client = Client::connect(port).unwrap_or_else(|e| fail(&e.to_string()));
+    let mut client = Client::connect(server.port()).unwrap_or_else(|e| fail(&e.to_string()));
     let mut latencies_us: Vec<u64> = Vec::with_capacity(n_requests);
     let t0 = Instant::now();
     for _ in 0..n_requests {
@@ -184,6 +193,14 @@ fn main() {
     let p50_us = percentile(&latencies_us, 0.50);
     let p99_us = percentile(&latencies_us, 0.99);
     println!("steady:   {n_requests} requests in {steady_wall:.2}s — {qps:.0} QPS, p50 {p50_us}us, p99 {p99_us}us");
+    drop(client);
+    let steady_served = server.stats().served;
+    server.stop();
+
+    // -- Phases 2-5 run on a fresh server that keeps the batch-delay hook.
+    let server = Server::start(fault_cfg).unwrap_or_else(|e| fail(&e.to_string()));
+    let port = server.port();
+    let mut client = Client::connect(port).unwrap_or_else(|e| fail(&e.to_string()));
 
     // -- Phase 2: overload burst — concurrent clients vs a 4-slot queue.
     let handles: Vec<_> = (0..burst)
@@ -257,7 +274,8 @@ fn main() {
     drop(slow);
     println!("slow:     trickling client disconnected, service unaffected");
 
-    let stats = server.stats();
+    let mut stats = server.stats();
+    stats.served += steady_served;
     server.stop();
     std::fs::remove_file(&snap_path).ok();
 

@@ -126,7 +126,7 @@ impl QLinear {
 /// precision: feature tensors (`x0`, `steps`, `W_DP`) under
 /// `spec.features`, weight tensors (scorers, fuse, hop, classifier) under
 /// `spec.weights`. This is the in-memory form of a snapshot — the serving
-/// engine gathers rows and runs the fused-dequant kernels directly on it,
+/// engine gathers and decodes only the requested feature rows from it,
 /// so the byte reduction is resident, not just on disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedExport {

@@ -2780,7 +2780,7 @@ fn check_fn_shapes(
             continue;
         }
         let name = ix.toks[i].text.as_str();
-        // Free-fn fused GEMM: `matmul_deq(&a, &qb, …)`.
+        // Free-fn quantized GEMM: `matmul_deq(&a, &qb, …)`.
         if name == "matmul_deq" && !prev_code(&ix.toks, i).is_some_and(|j| ix.toks[j].is_punct("."))
         {
             if let Some(args) = crate::workspace::call_args(ix, i) {

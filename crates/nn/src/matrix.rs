@@ -75,11 +75,7 @@ fn bounded_parts(work: usize, min_per_part: usize) -> usize {
 /// Output-row partition for the matmul-family kernels: up to one range
 /// per participating thread, fewer when rows are scarce or each part
 /// would fall under [`PAR_MIN_FLOPS_PER_PART`]. Purely shape-driven.
-///
-/// Public so sibling crates that implement matmul-shaped kernels over
-/// non-f32 operands (`amud-quant`'s fused dequant GEMM) partition with
-/// the *same* policy and inherit the same serial/parallel decision.
-pub fn output_row_parts(n_rows: usize, flops_per_row: usize) -> Vec<Range<usize>> {
+fn output_row_parts(n_rows: usize, flops_per_row: usize) -> Vec<Range<usize>> {
     let parts = bounded_parts(n_rows.saturating_mul(flops_per_row), PAR_MIN_FLOPS_PER_PART)
         .min(n_rows.max(1));
     if parts <= 1 {

@@ -148,187 +148,6 @@ pub fn lane_dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [
     out
 }
 
-/// Exact IEEE-754 binary16 → binary32 decode.
-///
-/// Every binary16 value (normals, subnormals, ±0, ±inf, NaNs) is exactly
-/// representable in binary32, so this is a pure re-encoding with no
-/// rounding: the fused dequant kernels below can expand f16 operands
-/// on the fly and still be bit-identical to a decode-then-compute
-/// reference path. NaN payloads are preserved (shifted into the f32
-/// mantissa), matching the software decode convention.
-#[inline]
-pub fn f16_to_f32(bits: u16) -> f32 {
-    // Branch-light widening: shift exponent+mantissa into binary32
-    // position and rebias 15 → 127. The common (normal) case is pure
-    // integer ALU with no taken branch, which keeps the fused dequant
-    // inner loops vectorizable; the two rare buckets fix up after.
-    let sign = u32::from(bits & 0x8000) << 16;
-    let em = u32::from(bits & 0x7fff) << 13; // exponent+mantissa, shifted
-    let exp = em & 0x0f80_0000; // the f16 exponent field, post-shift
-    let mut o = em.wrapping_add(112 << 23); // rebias 15 → 127
-    if exp == 0x0f80_0000 {
-        // Inf / NaN: exponent saturates to 255, payload already shifted.
-        o = o.wrapping_add(112 << 23);
-    } else if exp == 0 {
-        // Zero / subnormal: rebias once more to land at `2^-14 +
-        // man·2^-24`, then renormalize with an exact binary32 subtract
-        // (both operands and the difference are representable).
-        o = o.wrapping_add(1 << 23);
-        o = (f32::from_bits(o) - f32::from_bits(0x3880_0000)).to_bits(); // 2^-14
-    }
-    f32::from_bits(o | sign)
-}
-
-/// Fused-dequant lane dot: `lane_dot(a, decode(b))` without materialising
-/// the decoded row.
-///
-/// Runs the canonical [`fold_lanes`] schedule with [`f16_to_f32`] applied
-/// per element inside the lane loop. Decode is exact, so the result is
-/// bit-identical to decoding `b` into a scratch `Vec<f32>` and calling
-/// `lane_dot` — pinned by test below.
-#[inline]
-pub fn deq_f16_dot(a: &[f32], b: &[u16]) -> f32 {
-    let n = a.len().min(b.len());
-    let main = n - n % LANE_WIDTH;
-    let mut acc = [0.0f32; LANE_WIDTH];
-    for (av, bv) in a[..main].chunks_exact(LANE_WIDTH).zip(b[..main].chunks_exact(LANE_WIDTH)) {
-        for l in 0..LANE_WIDTH {
-            acc[l] += av[l] * f16_to_f32(bv[l]);
-        }
-    }
-    let mut out = fold_lanes(acc);
-    for i in main..n {
-        out += a[i] * f16_to_f32(b[i]);
-    }
-    out
-}
-
-/// Fused-dequant lane dot over int8 with a per-tensor scale:
-/// `lane_dot(a, q .* scale)` without materialising the dequantized row.
-///
-/// Each element decodes as `(q as f32) * scale` — the same single-rounding
-/// expression the reference dequantize pass uses — so the fused form is
-/// bit-identical to decode-then-`lane_dot`.
-#[inline]
-pub fn deq_i8_dot(a: &[f32], q: &[i8], scale: f32) -> f32 {
-    let n = a.len().min(q.len());
-    let main = n - n % LANE_WIDTH;
-    let mut acc = [0.0f32; LANE_WIDTH];
-    for (av, qv) in a[..main].chunks_exact(LANE_WIDTH).zip(q[..main].chunks_exact(LANE_WIDTH)) {
-        for l in 0..LANE_WIDTH {
-            acc[l] += av[l] * (qv[l] as f32 * scale);
-        }
-    }
-    let mut out = fold_lanes(acc);
-    for i in main..n {
-        out += a[i] * (q[i] as f32 * scale);
-    }
-    out
-}
-
-/// Fused-dequant axpy: `out[j] += w * decode(x[j])` — [`lane_axpy`] with
-/// the f16 operand expanded in-register. Bit-identical to decoding `x`
-/// first (decode is exact).
-#[inline]
-pub fn deq_f16_axpy(out: &mut [f32], w: f32, x: &[u16]) {
-    let n = out.len().min(x.len());
-    let main = n - n % LANE_WIDTH;
-    let (o_main, o_tail) = out[..n].split_at_mut(main);
-    let (x_main, x_tail) = x[..n].split_at(main);
-    for (o, c) in o_main.chunks_exact_mut(LANE_WIDTH).zip(x_main.chunks_exact(LANE_WIDTH)) {
-        for l in 0..LANE_WIDTH {
-            o[l] += w * f16_to_f32(c[l]);
-        }
-    }
-    for (o, &c) in o_tail.iter_mut().zip(x_tail) {
-        *o += w * f16_to_f32(c);
-    }
-}
-
-/// Fused-dequant axpy over int8: `out[j] += w * (x[j] as f32 * scale)`.
-#[inline]
-pub fn deq_i8_axpy(out: &mut [f32], w: f32, x: &[i8], scale: f32) {
-    let n = out.len().min(x.len());
-    let main = n - n % LANE_WIDTH;
-    let (o_main, o_tail) = out[..n].split_at_mut(main);
-    let (x_main, x_tail) = x[..n].split_at(main);
-    for (o, c) in o_main.chunks_exact_mut(LANE_WIDTH).zip(x_main.chunks_exact(LANE_WIDTH)) {
-        for l in 0..LANE_WIDTH {
-            o[l] += w * (c[l] as f32 * scale);
-        }
-    }
-    for (o, &c) in o_tail.iter_mut().zip(x_tail) {
-        *o += w * (c as f32 * scale);
-    }
-}
-
-/// Four-way k-blocked fused-dequant axpy over f16 rows — [`lane_axpy4`]
-/// with the four B rows decoded in-register. Per element the ascending
-/// weight order is preserved, so it is bit-identical to four sequential
-/// [`deq_f16_axpy`] calls (and hence to the f32 kernel on decoded rows).
-#[inline]
-pub fn deq_f16_axpy4(out: &mut [f32], w: [f32; 4], x0: &[u16], x1: &[u16], x2: &[u16], x3: &[u16]) {
-    let n = out.len().min(x0.len()).min(x1.len()).min(x2.len()).min(x3.len());
-    let main = n - n % LANE_WIDTH;
-    let mut j = 0;
-    while j < main {
-        let o = &mut out[j..j + LANE_WIDTH];
-        let (c0, c1) = (&x0[j..j + LANE_WIDTH], &x1[j..j + LANE_WIDTH]);
-        let (c2, c3) = (&x2[j..j + LANE_WIDTH], &x3[j..j + LANE_WIDTH]);
-        for l in 0..LANE_WIDTH {
-            o[l] += w[0] * f16_to_f32(c0[l]);
-            o[l] += w[1] * f16_to_f32(c1[l]);
-            o[l] += w[2] * f16_to_f32(c2[l]);
-            o[l] += w[3] * f16_to_f32(c3[l]);
-        }
-        j += LANE_WIDTH;
-    }
-    while j < n {
-        out[j] += w[0] * f16_to_f32(x0[j]);
-        out[j] += w[1] * f16_to_f32(x1[j]);
-        out[j] += w[2] * f16_to_f32(x2[j]);
-        out[j] += w[3] * f16_to_f32(x3[j]);
-        j += 1;
-    }
-}
-
-/// Four-way k-blocked fused-dequant axpy over int8 rows with one shared
-/// per-tensor scale. Bit-identical to four sequential [`deq_i8_axpy`]
-/// calls in ascending weight order.
-#[inline]
-pub fn deq_i8_axpy4(
-    out: &mut [f32],
-    w: [f32; 4],
-    scale: f32,
-    x0: &[i8],
-    x1: &[i8],
-    x2: &[i8],
-    x3: &[i8],
-) {
-    let n = out.len().min(x0.len()).min(x1.len()).min(x2.len()).min(x3.len());
-    let main = n - n % LANE_WIDTH;
-    let mut j = 0;
-    while j < main {
-        let o = &mut out[j..j + LANE_WIDTH];
-        let (c0, c1) = (&x0[j..j + LANE_WIDTH], &x1[j..j + LANE_WIDTH]);
-        let (c2, c3) = (&x2[j..j + LANE_WIDTH], &x3[j..j + LANE_WIDTH]);
-        for l in 0..LANE_WIDTH {
-            o[l] += w[0] * (c0[l] as f32 * scale);
-            o[l] += w[1] * (c1[l] as f32 * scale);
-            o[l] += w[2] * (c2[l] as f32 * scale);
-            o[l] += w[3] * (c3[l] as f32 * scale);
-        }
-        j += LANE_WIDTH;
-    }
-    while j < n {
-        out[j] += w[0] * (x0[j] as f32 * scale);
-        out[j] += w[1] * (x1[j] as f32 * scale);
-        out[j] += w[2] * (x2[j] as f32 * scale);
-        out[j] += w[3] * (x3[j] as f32 * scale);
-        j += 1;
-    }
-}
-
 /// Four simultaneous lane dots of `a` against a 4-way *interleaved* B
 /// pack: `b4[k * 4 + m]` holds element `k` of row `m`.
 ///
@@ -428,136 +247,6 @@ mod tests {
             let d4 = lane_dot4(&a, &rows[0], &rows[1], &rows[2], &rows[3]);
             for (k, row) in rows.iter().enumerate() {
                 assert_eq!(d4[k].to_bits(), lane_dot(&a, row).to_bits(), "n={n} k={k}");
-            }
-        }
-    }
-
-    /// Round-to-nearest-even binary32 → binary16 (test-local reference
-    /// encoder; the production encoder lives in `amud-quant`).
-    fn f16_bits(v: f32) -> u16 {
-        let bits = v.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xff) as i32;
-        let man = bits & 0x007f_ffff;
-        if exp == 0xff {
-            return sign | 0x7c00 | if man != 0 { 0x200 } else { 0 };
-        }
-        let e16 = exp - 127 + 15;
-        if e16 >= 0x1f {
-            return sign | 0x7c00;
-        }
-        if e16 <= 0 {
-            if e16 < -10 {
-                return sign;
-            }
-            let m = man | 0x0080_0000;
-            let shift = (14 - e16) as u32;
-            let base = (m >> shift) as u16;
-            let rem = m & ((1 << shift) - 1);
-            let half = 1u32 << (shift - 1);
-            return sign
-                | if rem > half || (rem == half && base & 1 == 1) { base + 1 } else { base };
-        }
-        let base = ((e16 as u32) << 10 | man >> 13) as u16;
-        let rem = man & 0x1fff;
-        sign | if rem > 0x1000 || (rem == 0x1000 && base & 1 == 1) { base + 1 } else { base }
-    }
-
-    fn f16_row(n: usize, scale: f32) -> Vec<u16> {
-        seq(n, scale).iter().map(|&v| f16_bits(v)).collect()
-    }
-
-    fn i8_row(n: usize, scale: f32) -> Vec<i8> {
-        (0..n).map(|i| (((i as f32) * scale).sin() * 127.0).round() as i8).collect()
-    }
-
-    #[test]
-    fn f16_decode_is_exact_on_pinned_patterns() {
-        // Exactness spot checks across every decode branch: zero, subnormal,
-        // normal, inf, NaN.
-        assert_eq!(f16_to_f32(0x0000).to_bits(), 0.0f32.to_bits());
-        assert_eq!(f16_to_f32(0x8000).to_bits(), (-0.0f32).to_bits());
-        assert_eq!(f16_to_f32(0x0001), 2.0f32.powi(-24)); // smallest subnormal
-        assert_eq!(f16_to_f32(0x3c00), 1.0);
-        assert_eq!(f16_to_f32(0xc000), -2.0);
-        assert_eq!(f16_to_f32(0x7bff), 65504.0); // largest finite
-        assert_eq!(f16_to_f32(0x7c00), f32::INFINITY);
-        assert_eq!(f16_to_f32(0xfc00), f32::NEG_INFINITY);
-        assert!(f16_to_f32(0x7e00).is_nan());
-    }
-
-    #[test]
-    fn fused_f16_kernels_match_decode_then_f32_kernels() {
-        for n in [0, 1, 7, 8, 9, 33, 64, 71] {
-            let a = seq(n, 0.91);
-            let b = f16_row(n, 1.07);
-            let dec: Vec<f32> = b.iter().map(|&x| f16_to_f32(x)).collect();
-            assert_eq!(deq_f16_dot(&a, &b).to_bits(), lane_dot(&a, &dec).to_bits(), "dot n={n}");
-
-            let mut fused = seq(n, 2.17);
-            let mut reference = fused.clone();
-            deq_f16_axpy(&mut fused, -0.37, &b);
-            lane_axpy(&mut reference, -0.37, &dec);
-            for (x, y) in fused.iter().zip(&reference) {
-                assert_eq!(x.to_bits(), y.to_bits(), "axpy n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_f16_axpy4_matches_four_sequential_deq_axpys() {
-        for n in [1, 7, 8, 9, 31, 64, 65] {
-            let rows: Vec<Vec<u16>> = (0..4).map(|r| f16_row(n, 0.31 + r as f32)).collect();
-            let w = [0.5, -1.25, 3.0, -0.0625];
-            let mut blocked = seq(n, 2.17);
-            let mut sequential = blocked.clone();
-            deq_f16_axpy4(&mut blocked, w, &rows[0], &rows[1], &rows[2], &rows[3]);
-            for (r, &wk) in rows.iter().zip(&w) {
-                deq_f16_axpy(&mut sequential, wk, r);
-            }
-            for (x, y) in blocked.iter().zip(&sequential) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_i8_kernels_match_decode_then_f32_kernels() {
-        let scale = 0.02734375; // an exact binary fraction, typical max_abs/127 shape
-        for n in [0, 1, 7, 8, 9, 33, 64, 71] {
-            let a = seq(n, 0.91);
-            let q = i8_row(n, 1.07);
-            let dec: Vec<f32> = q.iter().map(|&x| x as f32 * scale).collect();
-            assert_eq!(
-                deq_i8_dot(&a, &q, scale).to_bits(),
-                lane_dot(&a, &dec).to_bits(),
-                "dot n={n}"
-            );
-
-            let mut fused = seq(n, 2.17);
-            let mut reference = fused.clone();
-            deq_i8_axpy(&mut fused, -0.37, &q, scale);
-            lane_axpy(&mut reference, -0.37, &dec);
-            for (x, y) in fused.iter().zip(&reference) {
-                assert_eq!(x.to_bits(), y.to_bits(), "axpy n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_i8_axpy4_matches_four_sequential_deq_axpys() {
-        let scale = 0.0113;
-        for n in [1, 7, 8, 9, 31, 64, 65] {
-            let rows: Vec<Vec<i8>> = (0..4).map(|r| i8_row(n, 0.31 + r as f32)).collect();
-            let w = [0.5, -1.25, 3.0, -0.0625];
-            let mut blocked = seq(n, 2.17);
-            let mut sequential = blocked.clone();
-            deq_i8_axpy4(&mut blocked, w, scale, &rows[0], &rows[1], &rows[2], &rows[3]);
-            for (r, &wk) in rows.iter().zip(&w) {
-                deq_i8_axpy(&mut sequential, wk, r, scale);
-            }
-            for (x, y) in blocked.iter().zip(&sequential) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
             }
         }
     }

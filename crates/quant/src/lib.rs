@@ -9,28 +9,51 @@
 //!
 //! * **f16** — IEEE-754 binary16, encoded bit-level in std only (no
 //!   unstable `f16` type) with round-to-nearest-even. Decode is *exact*
-//!   (every binary16 value is representable in binary32), which is what
-//!   makes the fused kernels bit-reproducible.
+//!   (every binary16 value is representable in binary32).
 //! * **int8** — one symmetric scale per tensor (`scale = max|x| / 127`),
 //!   saturating to `[-127, 127]`. Dequantized value is
 //!   `(q as f32) * scale`, a single rounding.
 //!
 //! ## Determinism contract
 //!
-//! The fused-dequant GEMM [`matmul_deq`] mirrors
-//! `DenseMatrix::matmul` structurally — same ikj orientation, same
-//! k-block-of-4 [`amud_par::lanes`] axpy kernels (the `deq_*` variants
-//! expand operands in-register), same zero-weight block skip, and the
-//! *same* output-row partition policy
-//! ([`amud_nn::matrix::output_row_parts`]). Because decode is a pure
-//! per-element function, `matmul_deq(a, q)` is **bit-identical** to
-//! `a.matmul(&q.dequantize())` at every `AMUD_THREADS` — pinned by tests
-//! here and swept across thread counts by `bench-quant`.
+//! Quantization is a storage format, not a second kernel family: a
+//! quantized weight is decoded once per [`matmul_deq`] call into a
+//! temporary f32 matrix, which then runs through the one f32
+//! `DenseMatrix::matmul`. `matmul_deq(a, q)` is therefore
+//! `a.matmul(&q.dequantize())` by construction, and inherits that
+//! kernel's bit-identity at every `AMUD_THREADS` — pinned by tests here
+//! and swept across thread counts by `bench-quant`.
 
-use amud_nn::matrix::{output_row_parts, DenseMatrix};
-use amud_par::lanes;
+use amud_nn::matrix::DenseMatrix;
 
-pub use amud_par::lanes::f16_to_f32;
+/// Exact IEEE-754 binary16 → binary32 decode.
+///
+/// Every binary16 value (normals, subnormals, ±0, ±inf, NaNs) is exactly
+/// representable in binary32, so this is a pure re-encoding with no
+/// rounding. NaN payloads are preserved (shifted into the f32 mantissa),
+/// matching the software decode convention.
+#[inline]
+pub fn f16_to_f32(bits: u16) -> f32 {
+    // Branch-light widening: shift exponent+mantissa into binary32
+    // position and rebias 15 → 127. The common (normal) case is pure
+    // integer ALU with no taken branch; the two rare buckets fix up
+    // after.
+    let sign = u32::from(bits & 0x8000) << 16;
+    let em = u32::from(bits & 0x7fff) << 13; // exponent+mantissa, shifted
+    let exp = em & 0x0f80_0000; // the f16 exponent field, post-shift
+    let mut o = em.wrapping_add(112 << 23); // rebias 15 → 127
+    if exp == 0x0f80_0000 {
+        // Inf / NaN: exponent saturates to 255, payload already shifted.
+        o = o.wrapping_add(112 << 23);
+    } else if exp == 0 {
+        // Zero / subnormal: rebias once more to land at `2^-14 +
+        // man·2^-24`, then renormalize with an exact binary32 subtract
+        // (both operands and the difference are representable).
+        o = o.wrapping_add(1 << 23);
+        o = (f32::from_bits(o) - f32::from_bits(0x3880_0000)).to_bits(); // 2^-14
+    }
+    f32::from_bits(o | sign)
+}
 
 /// IEEE-754 binary32 → binary16 encode with round-to-nearest-even.
 ///
@@ -300,7 +323,7 @@ impl QMatrix {
 
     /// Expands back to f32. Exact for f32 (clone) and f16 (decode is
     /// exact); for int8 this is the canonical single-rounding
-    /// `q as f32 * scale` the fused kernels reproduce bit-for-bit.
+    /// `q as f32 * scale`.
     pub fn dequantize(&self) -> DenseMatrix {
         match self {
             QMatrix::F32(m) => m.clone(),
@@ -342,101 +365,20 @@ impl QMatrix {
     }
 }
 
-/// `a · b` with `b` stored quantized — the fused-dequant GEMM.
+/// `a · b` with `b` stored quantized: decode `b` to f32, then run the
+/// f32 `DenseMatrix::matmul`.
 ///
-/// Structurally `DenseMatrix::matmul` with the four streamed B rows
-/// expanded in-register by the `deq_*` lane kernels: same ikj
-/// orientation, same k-block of 4, same zero-weight block skip, same
-/// output-row partition. Bit-identical to `a.matmul(&b.dequantize())` at
-/// every thread count (decode is a pure per-element function and the
-/// per-element FP op sequence is unchanged).
+/// An f32 weight goes straight to the kernel. A quantized one is
+/// decoded once per call into a temporary f32 matrix, so the decode cost
+/// is shared by every output row. The result is
+/// `a.matmul(&b.dequantize())` by construction, at every thread count.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn matmul_deq(a: &DenseMatrix, b: &QMatrix) -> DenseMatrix {
     match b {
         QMatrix::F32(m) => a.matmul(m),
-        QMatrix::F16 { rows, cols, bits } => {
-            assert_eq!(a.cols(), *rows, "matmul_deq: inner dimensions differ");
-            let (n, k_extent, cols) = (a.rows(), a.cols(), *cols);
-            let mut out = DenseMatrix::zeros(n, cols);
-            if cols == 0 {
-                return out;
-            }
-            let parts = output_row_parts(n, k_extent * cols);
-            let k_main = k_extent - k_extent % 4;
-            // BOUNDS(bits): the F16 payload holds rows · cols entries and
-            // k < k_extent == rows (asserted), so row k stays inside it.
-            let brow = |k: usize| &bits[k * cols..(k + 1) * cols];
-            amud_par::par_row_blocks_mut(out.as_mut_slice(), cols, &parts, |_, rows, block| {
-                for (out_row, i) in block.chunks_exact_mut(cols).zip(rows) {
-                    let a_row = a.row(i);
-                    for kb in 0..k_main / 4 {
-                        let k = kb * 4;
-                        let w = [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]];
-                        if w == [0.0; 4] {
-                            continue;
-                        }
-                        lanes::deq_f16_axpy4(
-                            out_row,
-                            w,
-                            brow(k),
-                            brow(k + 1),
-                            brow(k + 2),
-                            brow(k + 3),
-                        );
-                    }
-                    for (k, &av) in a_row.iter().enumerate().skip(k_main) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        lanes::deq_f16_axpy(out_row, av, brow(k));
-                    }
-                }
-            });
-            out
-        }
-        QMatrix::I8 { rows, cols, scale, q } => {
-            assert_eq!(a.cols(), *rows, "matmul_deq: inner dimensions differ");
-            let (n, k_extent, cols, scale) = (a.rows(), a.cols(), *cols, *scale);
-            let mut out = DenseMatrix::zeros(n, cols);
-            if cols == 0 {
-                return out;
-            }
-            let parts = output_row_parts(n, k_extent * cols);
-            let k_main = k_extent - k_extent % 4;
-            // BOUNDS(q): the I8 payload holds rows · cols entries and
-            // k < k_extent == rows (asserted), so row k stays inside it.
-            let brow = |k: usize| &q[k * cols..(k + 1) * cols];
-            amud_par::par_row_blocks_mut(out.as_mut_slice(), cols, &parts, |_, rows, block| {
-                for (out_row, i) in block.chunks_exact_mut(cols).zip(rows) {
-                    let a_row = a.row(i);
-                    for kb in 0..k_main / 4 {
-                        let k = kb * 4;
-                        let w = [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]];
-                        if w == [0.0; 4] {
-                            continue;
-                        }
-                        lanes::deq_i8_axpy4(
-                            out_row,
-                            w,
-                            scale,
-                            brow(k),
-                            brow(k + 1),
-                            brow(k + 2),
-                            brow(k + 3),
-                        );
-                    }
-                    for (k, &av) in a_row.iter().enumerate().skip(k_main) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        lanes::deq_i8_axpy(out_row, av, brow(k), scale);
-                    }
-                }
-            });
-            out
-        }
+        q => a.matmul(&q.dequantize()),
     }
 }
 
@@ -446,6 +388,21 @@ mod tests {
 
     fn sample(rows: usize, cols: usize, seed: f32) -> DenseMatrix {
         DenseMatrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) as f32 * seed).sin() * 2.5)
+    }
+
+    #[test]
+    fn f16_decode_is_exact_on_pinned_patterns() {
+        // Exactness spot checks across every decode branch: zero, subnormal,
+        // normal, inf, NaN.
+        assert_eq!(f16_to_f32(0x0000).to_bits(), 0.0f32.to_bits());
+        assert_eq!(f16_to_f32(0x8000).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(f16_to_f32(0x0001), 2.0f32.powi(-24)); // smallest subnormal
+        assert_eq!(f16_to_f32(0x3c00), 1.0);
+        assert_eq!(f16_to_f32(0xc000), -2.0);
+        assert_eq!(f16_to_f32(0x7bff), 65504.0); // largest finite
+        assert_eq!(f16_to_f32(0x7c00), f32::INFINITY);
+        assert_eq!(f16_to_f32(0xfc00), f32::NEG_INFINITY);
+        assert!(f16_to_f32(0x7e00).is_nan());
     }
 
     #[test]

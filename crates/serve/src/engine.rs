@@ -16,13 +16,14 @@
 //! bit-identity-at-any-thread-count contract; the elementwise glue here
 //! runs serially (request batches are small next to training workloads).
 //!
-//! **Quantized snapshots** run the fused-dequant path: row gathers decode
-//! f16/int8 rows on the fly ([`QMatrix::decode_row_into`]) and dense
-//! layers go through [`amud_quant::matmul_deq`], which dequantizes inside
-//! the lane kernels instead of materializing an f32 copy of the weights.
-//! Because the decode is a single rounding shared by both paths, a
-//! quantized engine is bit-identical to an f32 engine built from the
-//! dequantized export — pinned by `quantized_engine_matches_dequantized`.
+//! **Quantized snapshots** stay stored quantized: row gathers decode only
+//! the requested f16/int8 feature rows ([`QMatrix::decode_row_into`]),
+//! and each dense layer goes through [`amud_quant::matmul_deq`], which
+//! decodes a quantized weight once per `linear` call into a temporary
+//! f32 matrix and runs the f32 `matmul` on it. Because the decode is a
+//! single rounding shared by both paths, a quantized engine is
+//! bit-identical to an f32 engine built from the dequantized export —
+//! pinned by `quantized_engine_matches_dequantized`.
 
 use crate::error::{ServeError, SnapshotError};
 use crate::snapshot::Snapshot;
@@ -335,14 +336,12 @@ fn gather(m: &QMatrix, nodes: &[usize]) -> DenseMatrix {
 }
 
 /// `x · W + b` — the tape's `matmul` + `add_bias` pair. An f32 weight
-/// runs the shared row-blocked kernel; a quantized one runs the fused
-/// dequant GEMM (bitwise-pinned to decode-then-matmul). The bias add
-/// replays `add_bias`'s per-row `+=` in the same element order.
+/// runs the shared row-blocked kernel directly; a quantized one is
+/// decoded once per call into a temporary f32 matrix first
+/// ([`matmul_deq`]). The bias add replays `add_bias`'s per-row `+=` in
+/// the same element order.
 fn linear(x: &DenseMatrix, l: &QLinear) -> DenseMatrix {
-    let mut y = match &l.w {
-        QMatrix::F32(w) => x.matmul(w),
-        q => matmul_deq(x, q),
-    };
+    let mut y = matmul_deq(x, &l.w);
     let bias = l.b.row(0);
     for r in 0..y.rows() {
         for (v, &b) in y.row_mut(r).iter_mut().zip(bias) {
