@@ -6,21 +6,50 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Generic code rules are rustc/clippy lints: the [workspace.lints] table
+# in Cargo.toml plus disallowed-methods in clippy.toml.
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# Those lints must still bite. The fixture seeds one violation per lint;
+# compiled alone from the repo root (so clippy.toml applies) with every
+# lint at deny it must fail, and the JSON diagnostics must name each lint
+# on its own, so one lint that fires cannot hide another that went silent.
+echo "==> built-in lint fixture must fail, naming every lint"
+lints="unsafe_code missing_docs clippy::unwrap_used clippy::expect_used
+    clippy::undocumented_unsafe_blocks clippy::disallowed_methods
+    clippy::panic clippy::todo clippy::unimplemented"
+out_dir=$(mktemp -d)
+# shellcheck disable=SC2046,SC2086 # one `-D <lint>` pair per lint
+if builtins_json=$(clippy-driver --edition 2021 --crate-type lib --emit=metadata \
+    --out-dir "$out_dir" --error-format=json $(printf ' -D %s' $lints) \
+    crates/lint/fixtures/builtins.rs 2>&1); then
+    echo "error: crates/lint/fixtures/builtins.rs compiled clean" >&2
+    exit 1
+fi
+rm -rf "$out_dir"
+require() {
+    printf '%s\n' "$builtins_json" | grep -qF "$1" ||
+        { echo "error: builtins.rs diagnostics lack $1" >&2; exit 1; }
+}
+for lint in $lints; do
+    require "\"code\":{\"code\":\"$lint\""
+done
+require 'disallowed method `std::thread::spawn`'
+require 'disallowed method `std::sync::atomic::AtomicU64::new`'
 
 # The analysis engine's own unit, golden-snapshot, and exit-code tests
 # run before the engine is trusted to gate anything else.
 echo "==> cargo test -p amud-lint"
 cargo test -q -p amud-lint
 
-# Full workspace analysis: all passes, resolved against lint-allow.txt.
-# Exit 1 = fresh violation, 3 = ratchet regression; both stop CI here.
+# Full workspace analysis: the six domain passes no built-in lint
+# provides. Exit 1 = violation; it stops CI here.
 echo "==> amud-analyze (cargo run -p amud-lint)"
 cargo run --release -q -p amud-lint -- --report analyze-report.json
 
 echo "==> analyze-report.json summary"
-grep -A17 '"summary"' analyze-report.json || true
+grep -A7 '"summary"' analyze-report.json || true
 
 # The report is a deterministic artifact: no timestamps, sorted findings,
 # every rule listed (zero rows included). Two back-to-back runs over the
@@ -41,18 +70,12 @@ if [ -z "$wall_ms" ] || [ "$wall_ms" -gt 10000 ]; then
 fi
 echo "    analysis wall time ${wall_ms} ms (budget 10000 ms)"
 
-# The engine must analyze its own crate cleanly with zero budgets —
-# explicit-file mode grants none, so the linter cannot accumulate debt in
-# the code that enforces the rules.
-echo "==> amud-analyze self-check (lint crate, zero budgets)"
-cargo run --release -q -p amud-lint -- crates/lint/src/*.rs
-
-# The engine must still bite: the committed fixture has fresh violations,
-# and "fresh violation" must be exit code 1 exactly (2/3/4 mean the
+# The engine must still bite: the float-determinism fixture has
+# violations, and "violation" must be exit code 1 exactly (2/4 mean the
 # harness itself broke — see crates/lint/tests/cli.rs).
 echo "==> amud-analyze fixture must fail with exit 1"
 set +e
-cargo run --release -q -p amud-lint -- crates/lint/fixtures/bad.rs >/dev/null 2>&1
+cargo run --release -q -p amud-lint -- crates/lint/fixtures/float_determinism.rs >/dev/null 2>&1
 fixture_status=$?
 set -e
 if [ "$fixture_status" -ne 1 ]; then

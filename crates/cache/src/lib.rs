@@ -24,6 +24,11 @@
 //! wall-clock only — never a single output bit. The equivalence suite
 //! (`crates/core/tests/precompute_equivalence.rs`) pins this.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the shared stores and their hit/miss counters are the cache's sync state"
+)]
+
 pub mod fingerprint;
 pub mod stats;
 pub mod store;

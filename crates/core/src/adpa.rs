@@ -60,7 +60,9 @@ pub struct AdpaConfig {
     pub hidden: usize,
     /// Depth of the classifier MLP (≥ 1).
     pub classifier_layers: usize,
+    /// Dropout probability on hidden activations during training.
     pub dropout: f32,
+    /// How the DP operators' features are weighted into one (Eq. 10).
     pub dp_attention: DpAttention,
     /// Disable for the "w/o Hop Attention" ablation.
     pub hop_attention: bool,

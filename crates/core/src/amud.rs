@@ -59,6 +59,7 @@ pub enum AmudDecision {
 /// Correlation of one DP operator with the node labels.
 #[derive(Debug, Clone)]
 pub struct PatternCorrelation {
+    /// The 2-order directed pattern this row scores.
     pub pattern: DirectedPattern,
     /// Phi coefficient `r(G_d, N)` (Eq. 7).
     pub r: f64,
@@ -82,9 +83,11 @@ pub struct PatternCorrelation {
 /// The full AMUD report for a digraph.
 #[derive(Debug, Clone)]
 pub struct AmudReport {
+    /// One correlation row per 2-order directed pattern.
     pub correlations: Vec<PatternCorrelation>,
     /// Guidance score `S` (Eq. 8).
     pub score: f64,
+    /// The modeling recommendation: directed iff `S > θ`.
     pub decision: AmudDecision,
     /// Threshold used (`θ = 0.5` per the paper).
     pub theta: f64,

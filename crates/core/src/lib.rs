@@ -30,6 +30,8 @@
 //! assert!(report.score < 1e-9);
 //! ```
 
+#![warn(missing_docs)]
+
 /// ADPA — the paper's adaptive directed-pattern-aggregation model (§IV).
 pub mod adpa;
 

@@ -24,6 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Monotonic by design: the precompute benchmarks attribute spmm work to a
 /// sweep by snapshotting before and after and subtracting, which stays
 /// correct under concurrency where a reset would race.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "SPMM_CALLS: monotonic diagnostic counter for cache-hit accounting, not a \
+              synchronisation primitive — never gates control flow"
+)]
 static SPMM_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative number of `spmm` invocations since process start. Snapshot
@@ -78,7 +83,7 @@ impl CsrMatrix {
             }
             col_idx.push(c as u32);
             values.push(v);
-            // BOUNDS(row_ptr): every r was range-checked against n_rows in
+            // Every r was range-checked against n_rows in
             // the validation loop above; row_ptr has n_rows + 1 slots.
             row_ptr[r + 1] += 1;
             last = Some((r, c));
@@ -136,14 +141,14 @@ impl CsrMatrix {
 
     /// Column indices of row `r` (sorted ascending).
     pub fn row_cols(&self, r: usize) -> &[u32] {
-        // BOUNDS(row_ptr, col_idx): CSR invariant — row_ptr holds n_rows + 1
+        // CSR invariant — row_ptr holds n_rows + 1
         // ascending offsets capped by col_idx.len(); callers pass r < n_rows.
         &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
     /// Values of row `r`, parallel to [`Self::row_cols`].
     pub fn row_values(&self, r: usize) -> &[f32] {
-        // BOUNDS(row_ptr, values): CSR invariant — row_ptr holds n_rows + 1
+        // CSR invariant — row_ptr holds n_rows + 1
         // ascending offsets capped by values.len(); callers pass r < n_rows.
         &self.values[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
@@ -159,7 +164,7 @@ impl CsrMatrix {
     pub fn get(&self, r: usize, c: usize) -> f32 {
         let cols = self.row_cols(r);
         match cols.binary_search(&(c as u32)) {
-            // BOUNDS(row_values): binary_search hit inside row_cols(r) and
+            // binary_search hit inside row_cols(r) and
             // row_values(r) has the same length (parallel CSR arrays).
             Ok(i) => self.row_values(r)[i],
             Err(_) => 0.0,
@@ -170,7 +175,7 @@ impl CsrMatrix {
     /// small matrices only.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.n_rows * self.n_cols];
-        // BOUNDS(out): iter() yields r < n_rows and c < n_cols by the CSR
+        // iter() yields r < n_rows and c < n_cols by the CSR
         // invariant; out has n_rows · n_cols slots.
         for (r, c, v) in self.iter() {
             out[r * self.n_cols + c] = v;
@@ -181,7 +186,7 @@ impl CsrMatrix {
     /// Transposes the matrix in O(nnz).
     pub fn transpose(&self) -> Self {
         let mut counts = vec![0usize; self.n_cols + 1];
-        // BOUNDS(counts): stored column indices are < n_cols by the CSR
+        // Stored column indices are < n_cols by the CSR
         // invariant and counts has n_cols + 1 slots.
         for &c in &self.col_idx {
             counts[c as usize + 1] += 1;
@@ -193,7 +198,7 @@ impl CsrMatrix {
         let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0f32; self.nnz()];
         let mut cursor = counts;
-        // BOUNDS(cursor, col_idx, values): stored column indices are
+        // Stored column indices are
         // < n_cols; cursor[c] walks counts[c]..counts[c + 1] ≤ nnz, and
         // col_idx/values were allocated with nnz slots.
         for (r, c, v) in self.iter() {
@@ -214,7 +219,7 @@ impl CsrMatrix {
         assert_eq!(out.len(), self.n_rows, "spmv: out length mismatch");
         for (r, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0f32;
-            // BOUNDS(x): stored column indices are < n_cols by the CSR
+            // Stored column indices are < n_cols by the CSR
             // invariant; x.len() == n_cols is asserted above.
             for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
                 acc += v * x[c as usize];
@@ -253,7 +258,7 @@ impl CsrMatrix {
         if x_cols == 0 {
             return;
         }
-        // BOUNDS(x): stored column indices are < n_cols by the CSR
+        // Stored column indices are < n_cols by the CSR
         // invariant and x.len() == n_cols · x_cols is asserted above.
         let x_row = |c: u32| &x[c as usize * x_cols..(c as usize + 1) * x_cols];
         let parts = self.spmm_parts(x_cols);
@@ -263,7 +268,7 @@ impl CsrMatrix {
                 let cols = self.row_cols(r);
                 let vals = self.row_values(r);
                 let main = cols.len() - cols.len() % 4;
-                // BOUNDS(vals): row_values(r) parallels row_cols(r) — the
+                // row_values(r) parallels row_cols(r) — the
                 // same row_ptr window — so main ≤ vals.len().
                 for tb in 0..main / 4 {
                     let t = tb * 4;
@@ -325,7 +330,7 @@ impl CsrMatrix {
         for r in 0..n_rows {
             scratch.clear();
             for &mid in self.row_cols(r) {
-                // BOUNDS(marker): other's stored column indices are
+                // other's stored column indices are
                 // < other.n_cols by the CSR invariant; marker has n_cols ==
                 // other.n_cols slots.
                 for &c in other.row_cols(mid as usize) {
@@ -425,7 +430,7 @@ impl CsrMatrix {
     /// Column sums (weighted in-degrees for an adjacency matrix).
     pub fn col_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0f32; self.n_cols];
-        // BOUNDS(sums): iter() yields c < n_cols by the CSR invariant and
+        // iter() yields c < n_cols by the CSR invariant and
         // sums has n_cols slots.
         for (_, c, v) in self.iter() {
             sums[c] += v;
@@ -437,7 +442,7 @@ impl CsrMatrix {
     pub fn scale_rows(&self, scale: &[f32]) -> CsrMatrix {
         assert_eq!(scale.len(), self.n_rows, "scale_rows: length mismatch");
         let mut out = self.clone();
-        // BOUNDS(row_ptr, values): CSR invariant — row_ptr holds n_rows + 1
+        // CSR invariant — row_ptr holds n_rows + 1
         // ascending offsets capped by values.len(); enumerate keeps r < n_rows.
         for (r, &s) in scale.iter().enumerate() {
             for v in &mut out.values[out.row_ptr[r]..out.row_ptr[r + 1]] {
@@ -451,7 +456,7 @@ impl CsrMatrix {
     pub fn scale_cols(&self, scale: &[f32]) -> CsrMatrix {
         assert_eq!(scale.len(), self.n_cols, "scale_cols: length mismatch");
         let mut out = self.clone();
-        // BOUNDS(scale): stored column indices are < n_cols by the CSR
+        // Stored column indices are < n_cols by the CSR
         // invariant and scale.len() == n_cols is asserted above.
         for (v, &c) in out.values.iter_mut().zip(&out.col_idx) {
             *v *= scale[c as usize];

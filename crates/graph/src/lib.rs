@@ -43,6 +43,8 @@
 //! assert_eq!(names, vec!["A·A", "A·Aᵀ", "Aᵀ·A", "Aᵀ·Aᵀ"]);
 //! ```
 
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod csr;
 pub mod digraph;
 pub mod generate;

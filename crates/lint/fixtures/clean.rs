@@ -1,6 +1,6 @@
 //! Lint fixture: the engine's negative control — a file every pass
-//! accepts. Exercised by `ci.sh` in explicit-file mode (exit code 0) and
-//! by the golden tests as the all-clean snapshot.
+//! accepts. Exercised by `tests/cli.rs` in explicit-file mode (exit code
+//! 0) and by the golden tests as the all-clean snapshot.
 
 /// Largest entry of a slice (`NEG_INFINITY` when empty).
 pub fn max_entry(xs: &[f32]) -> f32 {

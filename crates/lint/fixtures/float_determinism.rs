@@ -7,8 +7,9 @@
 //! A hand-rolled `[f32; 8]` lane-accumulator fold fires anywhere in the
 //! file, even outside a par closure; an integer histogram must NOT.
 
-pub fn bad_reductions(data: &mut [f32], parts: &[std::ops::Range<usize>]) {
-    amud_par::par_row_blocks_mut(data, 4, parts, |_, rows, block| {
+pub fn bad_reductions(data: &mut [f32], n_rows: usize) {
+    let parts = amud_par::split_even(n_rows, 4);
+    amud_par::par_row_blocks_mut(data, 4, &parts, |_, rows, block| {
         let total = block.iter().sum::<f32>();
         let folded = block.iter().fold(0.0f32, |a, b| a + b);
         let mut acc = 0.0f32;

@@ -2,7 +2,6 @@
 //! kernel hot path that enters the parallel runtime. Expected findings
 //! under the label `crates/nn/src/fixture.rs`:
 //!   1 × panic-reachability  (the `.expect` in `factor`, via kernel → scale)
-//!   1 × unwrap-ratchet      (the same `.expect`, counted by the per-file pass)
 
 pub fn kernel(data: &mut [f32]) {
     let parts = split_even(data.len(), 4);

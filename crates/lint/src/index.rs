@@ -1,14 +1,13 @@
 //! Structural index over a token stream: brace-matched spans, test-module
-//! masks, `unsafe` sites, parallel-closure bodies, and a function index.
+//! masks, parallel-closure bodies, and a function index.
 //!
 //! Everything here is *lexical* structure — no type information — which is
 //! exactly the level the analysis passes need: "which tokens are inside the
-//! closure passed to a `par_*` call", "where does this `unsafe` block end",
-//! "which identifiers feed this function's cache key". The index is built
-//! once per file and shared by every pass.
+//! closure passed to a `par_*` call", "which identifiers feed this
+//! function's cache key". The index is built once per file and shared by
+//! every pass.
 
 use crate::tokenizer::{Tok, TokKind};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A token stream plus the structural facts passes share.
@@ -181,44 +180,6 @@ impl FileIndex {
         self.toks[i].is_code() && !self.test_mask[i]
     }
 
-    /// All live `unsafe` sites with their body span (token range).
-    pub fn unsafe_sites(&self) -> Vec<UnsafeSite> {
-        let mut out = Vec::new();
-        for i in 0..self.toks.len() {
-            if !self.is_live(i) || !self.toks[i].is_ident("unsafe") {
-                continue;
-            }
-            let Some(next) = next_code(&self.toks, i + 1) else { continue };
-            let (kind, body) = if self.toks[next].is_punct("{") {
-                let close = match_delim(&self.toks, next).unwrap_or(self.toks.len() - 1);
-                (UnsafeKind::Block, next..close + 1)
-            } else if self.toks[next].is_ident("fn")
-                || self.toks[next].is_ident("extern")
-                || self.toks[next].is_ident("impl")
-                || self.toks[next].is_ident("trait")
-            {
-                match first_body_brace(&self.toks, next) {
-                    Some(open) => {
-                        let close = match_delim(&self.toks, open).unwrap_or(self.toks.len() - 1);
-                        let kind = if self.toks[next].is_ident("impl") {
-                            UnsafeKind::Impl
-                        } else {
-                            UnsafeKind::Fn
-                        };
-                        (kind, next..close + 1)
-                    }
-                    // `unsafe impl Send for T {}` with the `{}` found above;
-                    // a `;`-terminated form has no body to inspect.
-                    None => (UnsafeKind::Impl, next..next + 1),
-                }
-            } else {
-                (UnsafeKind::Block, i..i + 1)
-            };
-            out.push(UnsafeSite { at: i, kind, body });
-        }
-        out
-    }
-
     /// Body spans of every closure passed to a parallel entry point:
     /// an identifier starting with `par_`, or `run` qualified as
     /// `pool::run` / `amud_par::run`. The span covers the closure body
@@ -334,39 +295,34 @@ impl FileIndex {
         out
     }
 
-    /// `let <name> = <expr>;` bindings inside `body`, mapped to the set of
-    /// identifiers in each initialiser. One level of lexical data flow —
-    /// enough to trace `let fp = fingerprint(x); key = (fp, …)` back to `x`.
-    pub fn let_bindings(&self, body: &Range<usize>) -> BTreeMap<String, Vec<String>> {
-        let mut map = BTreeMap::new();
+    /// `let <name> = <init>;` bindings inside `body`, each with its
+    /// initialiser's token range. One level of lexical data flow — enough
+    /// to trace `let fp = fingerprint(x); key = (fp, …)` back to `x`.
+    pub fn let_inits(&self, body: &Range<usize>) -> Vec<(String, Range<usize>)> {
+        let toks = &self.toks;
+        let mut out = Vec::new();
         let mut i = body.start;
         while i < body.end {
-            if self.is_live(i) && self.toks[i].is_ident("let") {
-                let mut j = match next_code(&self.toks, i + 1) {
-                    Some(j) => j,
-                    None => break,
-                };
-                if self.toks[j].is_ident("mut") {
-                    j = match next_code(&self.toks, j + 1) {
-                        Some(j) => j,
+            if self.is_live(i) && toks[i].is_ident("let") {
+                let Some(mut j) = next_code(toks, i + 1) else { break };
+                if toks[j].is_ident("mut") {
+                    match next_code(toks, j + 1) {
+                        Some(n) => j = n,
                         None => break,
-                    };
+                    }
                 }
-                if self.toks[j].kind == TokKind::Ident {
-                    let name = self.toks[j].text.clone();
-                    // Scan to `=` then collect idents until the closing `;`
-                    // at statement depth.
+                if toks[j].kind == TokKind::Ident {
+                    let name = toks[j].text.clone();
                     let mut k = j + 1;
-                    while k < body.end && !self.toks[k].is_punct("=") && !self.toks[k].is_punct(";")
-                    {
+                    while k < body.end && !toks[k].is_punct("=") && !toks[k].is_punct(";") {
                         k += 1;
                     }
-                    if k < body.end && self.toks[k].is_punct("=") {
-                        let mut idents = Vec::new();
+                    if k < body.end && toks[k].is_punct("=") {
+                        // The initialiser runs to the `;` at statement depth.
                         let mut depth = 0isize;
                         let mut m = k + 1;
                         while m < body.end {
-                            let t = &self.toks[m];
+                            let t = &toks[m];
                             if t.kind == TokKind::Punct {
                                 match t.text.as_str() {
                                     "(" | "[" | "{" => depth += 1,
@@ -374,12 +330,10 @@ impl FileIndex {
                                     ";" if depth <= 0 => break,
                                     _ => {}
                                 }
-                            } else if t.kind == TokKind::Ident {
-                                idents.push(t.text.clone());
                             }
                             m += 1;
                         }
-                        map.insert(name, idents);
+                        out.push((name, k + 1..m));
                         i = m;
                         continue;
                     }
@@ -387,26 +341,8 @@ impl FileIndex {
             }
             i += 1;
         }
-        map
+        out
     }
-}
-
-/// What introduced an `unsafe` span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    Block,
-    Fn,
-    Impl,
-}
-
-/// One `unsafe` occurrence: the keyword token and the body span the
-/// contract must cover.
-pub struct UnsafeSite {
-    /// Token index of the `unsafe` keyword.
-    pub at: usize,
-    pub kind: UnsafeKind,
-    /// Token range of the governed body (block/impl braces included).
-    pub body: Range<usize>,
 }
 
 /// One `fn` item.
@@ -531,26 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_block_and_fn_spans() {
-        let src = "fn f() { unsafe { deref(p) } }\nunsafe fn g() { body(); }\n";
-        let ix = index(src);
-        let sites = ix.unsafe_sites();
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[0].kind, UnsafeKind::Block);
-        assert_eq!(sites[1].kind, UnsafeKind::Fn);
-        let body0: Vec<&str> = sites[0].body.clone().map(|i| ix.toks[i].text.as_str()).collect();
-        assert!(body0.contains(&"deref"));
-    }
-
-    #[test]
-    fn unsafe_impl_span() {
-        let ix = index("unsafe impl<T: Send> Send for Ptr<T> {}\n");
-        let sites = ix.unsafe_sites();
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].kind, UnsafeKind::Impl);
-    }
-
-    #[test]
     fn par_closure_body_is_extracted() {
         let src = "fn f() { amud_par::par_row_blocks_mut(&mut d, 4, &p, |_, rows, block| { block.fill(0.0); acc(rows) }); }";
         let ix = index(src);
@@ -580,13 +496,21 @@ mod tests {
     }
 
     #[test]
-    fn let_bindings_map_to_initialiser_idents() {
+    fn let_inits_map_to_initialiser_ranges() {
         let src = "fn f(x: T) { let fp = fingerprint(x); let key = (fp, N); use_it(key); }";
         let ix = index(src);
         let f = &ix.fn_items()[0];
-        let lets = ix.let_bindings(&f.body);
-        assert_eq!(lets["fp"], vec!["fingerprint", "x"]);
-        assert!(lets["key"].contains(&"fp".to_string()));
+        let idents = |init: &Range<usize>| -> Vec<&str> {
+            init.clone()
+                .filter(|&k| ix.toks[k].kind == TokKind::Ident)
+                .map(|k| ix.toks[k].text.as_str())
+                .collect()
+        };
+        let lets = ix.let_inits(&f.body);
+        assert_eq!(lets[0].0, "fp");
+        assert_eq!(idents(&lets[0].1), vec!["fingerprint", "x"]);
+        assert_eq!(lets[1].0, "key");
+        assert!(idents(&lets[1].1).contains(&"fp"));
     }
 
     #[test]

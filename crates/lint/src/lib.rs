@@ -1,40 +1,28 @@
-//! `amud-analyze` — token-level static analysis for the workspace
-//! (std-only, no syn).
+//! `amud-analyze` — token-level static analysis for the workspace's
+//! domain rules (std-only, no syn).
 //!
-//! The engine replaces the line-regex linter of PR 1 with a real pipeline
-//! (DESIGN.md §11): [`tokenizer`] lexes each file into a faithful token
-//! stream, [`index`] derives structural facts (brace-matched item spans,
-//! `#[cfg(test)]` masks, `unsafe` sites, parallel-closure bodies, a
-//! function index with one-level `let` dataflow), [`passes`] run the rules
-//! over that index, and the results are resolved against a per-rule
-//! [`Baseline`] so existing debt is budgeted while anything new fails CI.
+//! The engine is a pipeline (DESIGN.md §11): [`tokenizer`] lexes each file
+//! into a faithful token stream, [`index`] derives structural facts
+//! (brace-matched item spans, `#[cfg(test)]` masks, parallel-closure
+//! bodies, a function index with one-level `let` dataflow), and
+//! [`passes`] runs the per-file rules over that index:
 //!
-//! Rules (see [`passes`] for details):
-//!
-//! * `unwrap-ratchet` — budgeted `.unwrap()` / `.expect(…)` in library code
-//! * `panic-in-kernel` — no `panic!`/`todo!`/`unimplemented!` in kernels
-//! * `unsafe-contract` — structured `// SAFETY:` contracts with a real
-//!   aliasing/disjointness argument; raw-pointer derivation confined to
-//!   `crates/par`
-//! * `undocumented-public-item` — doc comments on `pub` items in amud-core
-//! * `raw-thread-spawn` — no `thread::spawn` outside amud-par
-//! * `concurrency-discipline` — no sync-primitive construction outside
-//!   `crates/par` / `crates/cache`
 //! * `float-determinism` — no unordered f32 reductions inside `par_*`
 //!   closures
 //! * `cache-key-completeness` — every parameter of a store-consulting
 //!   function flows into its cache key or is `KEY-EXEMPT`-justified
 //!
 //! On top of the per-file passes, [`symbols`] + [`callgraph`] fuse every
-//! file into one workspace view, and [`workspace`] runs seven
+//! file into one workspace view, and [`workspace`] runs four
 //! interprocedural passes over it (DESIGN.md §12): `panic-reachability`,
-//! `determinism-taint`, `par-disjointness`, `error-taxonomy`, and — riding
-//! the value-level abstract-interpretation layer in [`dataflow`]
-//! (DESIGN.md §16) — `index-bounds`, `shape-consistency`, and
-//! `exit-code-registry`.
+//! `determinism-taint`, `par-disjointness` and `error-taxonomy`.
+//!
+//! Generic code rules — unwrap/expect, `unsafe` and its `// SAFETY:`
+//! comments, public docs, thread and sync construction, panics in kernel
+//! crates — are rustc and clippy lints, configured in the workspace
+//! `Cargo.toml` and `clippy.toml`, not passes here.
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod index;
 pub mod passes;
 pub mod report;
@@ -42,47 +30,24 @@ pub mod symbols;
 pub mod tokenizer;
 pub mod workspace;
 
-pub use passes::{rules_for, FileRules, RuleKind, Severity, Violation};
+pub use passes::{RuleKind, Violation};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
 
-/// Runs the full engine over one file: tokenize → index → passes.
-/// `path` is the workspace-relative path (it selects the rule set).
-///
-/// Per-file rules only — for the interprocedural passes use
-/// [`analyze_files`], which sees all files at once.
-pub fn analyze_source(path: &str, source: &str) -> Vec<Violation> {
-    let ix = index::FileIndex::new(tokenizer::tokenize(source));
-    passes::run_passes(path, &ix)
-}
+/// Wall time per pipeline stage or rule, for the `--timings` column.
+pub type Timings = Vec<(String, Duration)>;
 
 /// Runs the full engine — per-file passes *and* the interprocedural
 /// workspace passes — over a set of `(label, source)` pairs. This is what
 /// the CLI runs over the workspace, and what the fixtures run over a
 /// single file (a one-file workspace is still a workspace).
-pub fn analyze_files(files: &[(String, String)]) -> Vec<Violation> {
-    let indexed: Vec<(String, index::FileIndex)> = files
-        .iter()
-        .map(|(label, src)| (label.clone(), index::FileIndex::new(tokenizer::tokenize(src))))
-        .collect();
-    let mut out = Vec::new();
-    for (label, ix) in &indexed {
-        out.extend(passes::run_passes(label, ix));
-    }
-    out.extend(workspace::run_workspace_passes(&indexed));
-    out
-}
-
-/// [`analyze_files`] with per-stage wall-clock instrumentation, feeding
-/// the `--timings` summary column. The returned violations are identical
-/// to the untimed run (the final [`resolve`] re-sorts), and the durations
-/// never reach the JSON report — timings are human-output only, so the
-/// byte-identical determinism contract on `analyze-report.json` holds.
-pub fn analyze_files_timed(
-    files: &[(String, String)],
-) -> (Vec<Violation>, Vec<(String, std::time::Duration)>) {
+///
+/// Violations come back sorted by file, line, column and rule. The stage
+/// timings are human output only: they never reach the JSON report, so
+/// `analyze-report.json` stays byte-identical across runs.
+pub fn analyze_files(files: &[(String, String)]) -> (Vec<Violation>, Timings) {
     let mut timings = Vec::new();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let indexed: Vec<(String, index::FileIndex)> = files
         .iter()
         .map(|(label, src)| (label.clone(), index::FileIndex::new(tokenizer::tokenize(src))))
@@ -91,338 +56,23 @@ pub fn analyze_files_timed(
 
     let mut out = Vec::new();
     for (name, pass) in passes::FILE_PASSES {
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         for (label, ix) in &indexed {
             pass(label, ix, &mut out);
         }
         timings.push((name.to_string(), t.elapsed()));
     }
 
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let syms = symbols::SymbolTable::build(&indexed);
     let cg = callgraph::CallGraph::build(&indexed, &syms);
     timings.push(("symbols+callgraph".to_string(), t.elapsed()));
 
     for (name, pass) in workspace::WORKSPACE_PASSES {
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         pass(&indexed, &syms, &cg, &mut out);
         timings.push((name.to_string(), t.elapsed()));
     }
+    out.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     (out, timings)
-}
-
-/// One baseline entry: a violation budget plus its written justification.
-#[derive(Debug, Clone)]
-pub struct BaselineEntry {
-    pub budget: usize,
-    pub note: Option<String>,
-}
-
-/// Per-(rule, file) violation budgets, parsed from `lint-allow.txt`.
-///
-/// Format, one entry per line:
-///
-/// ```text
-/// <rule-id> <path> <count> [# justification]
-/// ```
-///
-/// The budget is a ratchet: counts may only go down. `--bless` regenerates
-/// the file from current counts, preserving justifications.
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    entries: BTreeMap<(String, String), BaselineEntry>,
-}
-
-impl Baseline {
-    /// Parses the baseline file; `#`-lines and blank lines are comments.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = BTreeMap::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (entry, note) = match line.split_once('#') {
-                Some((e, n)) => {
-                    let n = n.trim();
-                    (e.trim(), if n.is_empty() { None } else { Some(n.to_string()) })
-                }
-                None => (line, None),
-            };
-            let parts: Vec<&str> = entry.split_whitespace().collect();
-            let [rule, path, count] = parts.as_slice() else {
-                return Err(format!(
-                    "line {}: expected `<rule-id> <path> <count> [# justification]`",
-                    i + 1
-                ));
-            };
-            if RuleKind::from_name(rule).is_none() {
-                return Err(format!("line {}: unknown rule id `{rule}`", i + 1));
-            }
-            let budget: usize =
-                count.parse().map_err(|_| format!("line {}: `{count}` is not a count", i + 1))?;
-            entries.insert((rule.to_string(), path.to_string()), BaselineEntry { budget, note });
-        }
-        Ok(Self { entries })
-    }
-
-    /// The budget entry for a (rule, file) pair, if any.
-    pub fn entry(&self, rule: &str, path: &str) -> Option<&BaselineEntry> {
-        self.entries.get(&(rule.to_string(), path.to_string()))
-    }
-
-    /// All entries, for stale reporting and `--bless` note preservation.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &str, &BaselineEntry)> {
-        self.entries.iter().map(|((r, p), e)| (r.as_str(), p.as_str(), e))
-    }
-
-    /// Renders a baseline file from current per-(rule, file) counts,
-    /// carrying over the justification of any entry that survives.
-    pub fn render(counts: &BTreeMap<(String, String), usize>, old: &Baseline) -> String {
-        let mut out = String::from(
-            "# amud-analyze baseline: `<rule-id> <path> <count> [# justification]`.\n\
-             # Budgets are a ratchet — counts may only go DOWN. Fix the finding, or keep the\n\
-             # entry with a written justification. Regenerate with\n\
-             # `cargo run -p amud-lint -- --bless` (justifications are preserved).\n",
-        );
-        for ((rule, path), n) in counts {
-            if *n == 0 {
-                continue;
-            }
-            out.push_str(&format!("{rule} {path} {n}"));
-            if let Some(e) = old.entries.get(&(rule.clone(), path.clone())) {
-                if let Some(note) = &e.note {
-                    out.push_str(&format!(" # {note}"));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// The outcome of resolving raw findings against the baseline.
-#[derive(Debug, Default)]
-pub struct Resolution {
-    /// Violations in a (rule, file) group with no baseline entry — new
-    /// debt. Exit code 1.
-    pub fresh: Vec<Violation>,
-    /// Violations in a group whose count exceeds a positive budget — the
-    /// ratchet moved the wrong way. Exit code 3.
-    pub regressions: Vec<Violation>,
-    /// Suppressed (within-budget) counts per rule id.
-    pub baselined: BTreeMap<String, usize>,
-    /// Ratchet-down opportunities and stale baseline entries.
-    pub notes: Vec<String>,
-    /// Live per-(rule, file) counts, the input to `--bless`.
-    pub counts: BTreeMap<(String, String), usize>,
-}
-
-/// Resolves raw findings against the baseline. `scanned` is the set of
-/// file labels that were analyzed (to tell a fixed file from a deleted
-/// one when reporting stale entries).
-pub fn resolve(
-    violations: Vec<Violation>,
-    scanned: &BTreeSet<String>,
-    baseline: &Baseline,
-) -> Resolution {
-    let mut groups: BTreeMap<(String, String), Vec<Violation>> = BTreeMap::new();
-    for v in violations {
-        groups.entry((v.rule.name().to_string(), v.file.clone())).or_default().push(v);
-    }
-    let mut res = Resolution::default();
-    for ((rule, path), vs) in groups {
-        let n = vs.len();
-        res.counts.insert((rule.clone(), path.clone()), n);
-        match baseline.entry(&rule, &path) {
-            None => res.fresh.extend(vs),
-            Some(e) if n > e.budget => {
-                res.notes.push(format!(
-                    "{path}: {n} {rule} finding(s) against a budget of {} — the ratchet only goes down",
-                    e.budget
-                ));
-                res.regressions.extend(vs);
-            }
-            Some(e) => {
-                *res.baselined.entry(rule.clone()).or_default() += n;
-                if n < e.budget {
-                    res.notes.push(format!(
-                        "{path}: {n} {rule} finding(s) under a budget of {} — ratchet down \
-                         (`cargo run -p amud-lint -- --bless`)",
-                        e.budget
-                    ));
-                }
-            }
-        }
-    }
-    for (rule, path, e) in baseline.entries() {
-        let key = (rule.to_string(), path.to_string());
-        if res.counts.contains_key(&key) {
-            continue;
-        }
-        if scanned.contains(path) {
-            res.notes.push(format!(
-                "{path}: {rule} budget {} but the file is now clean — ratchet down \
-                 (`cargo run -p amud-lint -- --bless`)",
-                e.budget
-            ));
-        } else {
-            res.notes.push(format!(
-                "{path}: baselined for {rule} ({}) but no longer scanned — remove the entry",
-                e.budget
-            ));
-        }
-    }
-    let order = |v: &Violation| (v.file.clone(), v.line, v.col, v.rule);
-    res.fresh.sort_by_key(order);
-    res.regressions.sort_by_key(order);
-    res.notes.sort();
-    res
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const KERNEL_PATH: &str = "crates/nn/src/fixture.rs";
-    const CORE_PATH: &str = "crates/core/src/fixture.rs";
-    const PLAIN_PATH: &str = "crates/train/src/fixture.rs";
-
-    fn by_rule(vs: &[Violation], rule: RuleKind) -> Vec<&Violation> {
-        vs.iter().filter(|v| v.rule == rule).collect()
-    }
-
-    fn resolve_all(path: &str, src: &str, baseline: &Baseline) -> Resolution {
-        let scanned: BTreeSet<String> = [path.to_string()].into();
-        resolve(analyze_source(path, src), &scanned, baseline)
-    }
-
-    #[test]
-    fn counts_unwrap_and_expect_outside_tests() {
-        let src = "fn f() {\n    x.unwrap();\n    y.expect(\"reason\");\n}\n\
-                   #[cfg(test)]\nmod tests {\n    fn g() { z.unwrap(); }\n}\n";
-        let vs = analyze_source(PLAIN_PATH, src);
-        let unwraps = by_rule(&vs, RuleKind::UnwrapRatchet);
-        assert_eq!(unwraps.len(), 2, "test-module unwrap must not count");
-        assert_eq!((unwraps[0].line, unwraps[1].line), (2, 3));
-    }
-
-    #[test]
-    fn comments_and_strings_do_not_count_as_calls() {
-        let src = "fn f() {\n    // don't .unwrap() here\n    let s = \"https://x\"; g();\n    let t = \"never .unwrap() or panic! in strings\";\n}\n";
-        assert!(analyze_source(PLAIN_PATH, src).is_empty());
-        assert!(analyze_source(KERNEL_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn ratchet_classifies_overrun_headroom_and_fresh() {
-        let two = "fn f() { a.unwrap(); b.unwrap(); }\n";
-        let baseline =
-            Baseline::parse(&format!("unwrap-ratchet {PLAIN_PATH} 1 # legacy\n")).unwrap();
-        let res = resolve_all(PLAIN_PATH, two, &baseline);
-        assert!(res.fresh.is_empty());
-        assert_eq!(res.regressions.len(), 2, "overrun of a budgeted file is a regression");
-
-        let baseline3 =
-            Baseline::parse(&format!("unwrap-ratchet {PLAIN_PATH} 3 # legacy\n")).unwrap();
-        let res = resolve_all(PLAIN_PATH, two, &baseline3);
-        assert!(res.fresh.is_empty() && res.regressions.is_empty());
-        assert_eq!(res.baselined["unwrap-ratchet"], 2);
-        assert!(res.notes.iter().any(|n| n.contains("ratchet down")));
-
-        let res = resolve_all(PLAIN_PATH, two, &Baseline::default());
-        assert_eq!(res.fresh.len(), 2, "an unlisted file has zero budget");
-    }
-
-    #[test]
-    fn clean_budgeted_file_asks_for_ratchet_and_missing_file_is_stale() {
-        let baseline =
-            Baseline::parse(&format!("unwrap-ratchet {PLAIN_PATH} 2\nunwrap-ratchet gone.rs 1\n"))
-                .unwrap();
-        let res = resolve_all(PLAIN_PATH, "fn f() {}\n", &baseline);
-        assert!(res.notes.iter().any(|n| n.contains("now clean")));
-        assert!(res.notes.iter().any(|n| n.contains("no longer scanned")));
-    }
-
-    #[test]
-    fn panic_banned_only_in_kernel_crates() {
-        let src = "fn f() {\n    panic!(\"boom\");\n}\n";
-        let vs = analyze_source(KERNEL_PATH, src);
-        assert_eq!(by_rule(&vs, RuleKind::PanicInKernel).len(), 1);
-        assert_eq!(vs[0].line, 2);
-        assert!(analyze_source(PLAIN_PATH, src).is_empty(), "panic rule is kernel-crate-only");
-    }
-
-    #[test]
-    fn unreachable_with_message_is_allowed_in_kernels() {
-        let src = "fn f() {\n    unreachable!(\"loop invariant\");\n}\n";
-        assert!(analyze_source(KERNEL_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_requires_substantive_contract() {
-        let bare = "fn f(p: *mut f32) {\n    unsafe { p.write(0.0) }\n}\n";
-        let vs = analyze_source(PLAIN_PATH, bare);
-        assert_eq!(by_rule(&vs, RuleKind::UnsafeContract).len(), 1);
-
-        let placeholder =
-            "fn f(p: *mut f32) {\n    // SAFETY: fine\n    unsafe { p.write(0.0) }\n}\n";
-        let vs = analyze_source(PLAIN_PATH, placeholder);
-        assert_eq!(by_rule(&vs, RuleKind::UnsafeContract).len(), 1, "placeholder must not pass");
-
-        let good = "fn f(p: *mut f32) {\n    // SAFETY: p is valid and exclusively borrowed by this call;\n    // no other alias of p exists while the write runs.\n    unsafe { p.write(0.0) }\n}\n";
-        assert!(analyze_source(PLAIN_PATH, good).is_empty());
-    }
-
-    #[test]
-    fn core_pub_items_need_docs() {
-        let bad = "pub fn naked() {}\n";
-        let vs = analyze_source(CORE_PATH, bad);
-        assert_eq!(by_rule(&vs, RuleKind::UndocumentedPublicItem).len(), 1);
-
-        let good = "/// Documented.\n#[derive(Debug)]\npub struct S;\n";
-        assert!(analyze_source(CORE_PATH, good).is_empty());
-        assert!(analyze_source(PLAIN_PATH, bad).is_empty(), "doc rule is amud-core-only");
-    }
-
-    #[test]
-    fn pub_use_and_restricted_visibility_are_exempt() {
-        let src = "pub use crate::thing::Thing;\npub(crate) fn helper() {}\n";
-        assert!(analyze_source(CORE_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn raw_thread_spawn_banned_outside_amud_par() {
-        let spawn = "fn f() {\n    std::thread::spawn(|| {});\n}\n";
-        let vs = analyze_source(PLAIN_PATH, spawn);
-        assert_eq!(by_rule(&vs, RuleKind::RawThreadSpawn).len(), 1);
-        assert_eq!(vs[0].line, 2);
-
-        // The runtime crate itself may spawn, and test modules are exempt.
-        assert!(analyze_source("crates/par/src/pool.rs", spawn).is_empty());
-        let in_tests =
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(analyze_source(PLAIN_PATH, in_tests).is_empty());
-    }
-
-    #[test]
-    fn baseline_round_trips_with_justifications() {
-        let old = Baseline::parse(
-            "unwrap-ratchet a.rs 3 # legacy IO path\nconcurrency-discipline b.rs 1 # perf counter\n",
-        )
-        .unwrap();
-        let mut counts = BTreeMap::new();
-        counts.insert(("unwrap-ratchet".to_string(), "a.rs".to_string()), 2);
-        counts.insert(("concurrency-discipline".to_string(), "b.rs".to_string()), 1);
-        counts.insert(("unwrap-ratchet".to_string(), "clean.rs".to_string()), 0);
-        let text = Baseline::render(&counts, &old);
-        let reparsed = Baseline::parse(&text).unwrap();
-        let e = reparsed.entry("unwrap-ratchet", "a.rs").expect("entry kept");
-        assert_eq!(e.budget, 2, "bless writes the current (lower) count");
-        assert_eq!(e.note.as_deref(), Some("legacy IO path"), "justification preserved");
-        assert!(reparsed.entry("unwrap-ratchet", "clean.rs").is_none(), "clean files unlisted");
-
-        assert!(Baseline::parse("nonsense line\n").is_err());
-        assert!(Baseline::parse("not-a-rule a.rs 1\n").is_err(), "rule ids are validated");
-    }
 }

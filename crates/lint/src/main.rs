@@ -1,36 +1,30 @@
 //! `cargo run -p amud-lint` — the `amud-analyze` workspace engine.
 //!
 //! Scans every library source file (`crates/*/src/**`, `src/**`) with the
-//! passes in [`amud_lint::passes`], resolves the findings against the
-//! per-rule baseline in `lint-allow.txt`, and exits with a distinct code
-//! per failure class:
+//! passes in [`amud_lint::passes`] and [`amud_lint::workspace`], and exits
+//! with a distinct code per failure class:
 //!
 //! ```text
-//! 0  clean (baselined debt only)
-//! 1  fresh violation — a (rule, file) pair with no baseline entry
-//! 2  usage error — unknown flag / malformed baseline
-//! 3  ratchet regression — a budgeted count went up
+//! 0  clean
+//! 1  violation
+//! 2  usage error — unknown flag
 //! 4  internal error — unreadable file, unwritable report
 //! ```
 //!
 //! ```text
 //! cargo run -p amud-lint                        # check the workspace
-//! cargo run -p amud-lint -- --bless             # rewrite lint-allow.txt from current counts
 //! cargo run -p amud-lint -- --report out.json   # also write analyze-report.json
 //! cargo run -p amud-lint -- --timings           # per-pass wall-time summary column
-//! cargo run -p amud-lint -- --baseline f FILE…  # lint specific files against a baseline
-//! cargo run -p amud-lint -- FILE…               # lint specific files (zero budgets)
+//! cargo run -p amud-lint -- FILE…               # lint specific files
 //! ```
 
-use amud_lint::{analyze_files, analyze_files_timed, report, resolve, Baseline};
-use std::collections::BTreeSet;
+use amud_lint::{analyze_files, report};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const EXIT_CLEAN: u8 = 0;
 const EXIT_VIOLATION: u8 = 1;
 const EXIT_USAGE: u8 = 2;
-const EXIT_REGRESSION: u8 = 3;
 const EXIT_INTERNAL: u8 = 4;
 
 /// Workspace root: two levels above this crate's manifest. The layout is
@@ -87,37 +81,24 @@ fn rel(root: &Path, path: &Path) -> String {
 }
 
 struct Options {
-    bless: bool,
     timings: bool,
     report_path: Option<PathBuf>,
-    baseline_path: Option<PathBuf>,
     explicit: Vec<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        bless: false,
-        timings: false,
-        report_path: None,
-        baseline_path: None,
-        explicit: Vec::new(),
-    };
+    let mut opts = Options { timings: false, report_path: None, explicit: Vec::new() };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--bless" => opts.bless = true,
             "--timings" => opts.timings = true,
             "--report" => match it.next() {
                 Some(p) => opts.report_path = Some(PathBuf::from(p)),
                 None => return Err("--report needs a path".into()),
             },
-            "--baseline" => match it.next() {
-                Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
-                None => return Err("--baseline needs a path".into()),
-            },
             flag if flag.starts_with("--") => {
                 return Err(format!(
-                    "unknown flag '{flag}' (recognised: --bless, --timings, --report <path>, --baseline <path>)"
+                    "unknown flag '{flag}' (recognised: --timings, --report <path>)"
                 ));
             }
             file => opts.explicit.push(PathBuf::from(file)),
@@ -137,108 +118,40 @@ fn main() -> ExitCode {
     };
 
     let root = workspace_root();
-    let default_baseline = root.join("lint-allow.txt");
-
-    // Explicit files are linted against zero budgets unless --baseline is
-    // given — the mode the lint fixtures and pre-commit hooks use.
-    let workspace_mode = opts.explicit.is_empty();
-    let baseline_path = match &opts.baseline_path {
-        Some(p) => Some(p.clone()),
-        None if workspace_mode => Some(default_baseline.clone()),
-        None => None,
-    };
-    let baseline = match &baseline_path {
-        Some(p) if opts.baseline_path.is_some() || p.exists() => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", p.display());
-                    return ExitCode::from(EXIT_INTERNAL);
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: {}: {e}", p.display());
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            }
-        }
-        _ => Baseline::default(),
-    };
-
-    let files = if workspace_mode { workspace_sources(&root) } else { opts.explicit.clone() };
+    let files = if opts.explicit.is_empty() { workspace_sources(&root) } else { opts.explicit };
 
     let mut sources: Vec<(String, String)> = Vec::new();
-    let mut scanned: BTreeSet<String> = BTreeSet::new();
     for path in &files {
         let label = rel(&root, path);
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
+        match std::fs::read_to_string(path) {
+            Ok(source) => sources.push((label, source)),
             Err(e) => {
                 eprintln!("error: cannot read {label}: {e}");
                 return ExitCode::from(EXIT_INTERNAL);
             }
-        };
-        scanned.insert(label.clone());
-        sources.push((label, source));
-    }
-    // Per-file passes and the interprocedural workspace passes run over
-    // the same file set; explicit-file mode is simply a small workspace.
-    // Timings stay out of the JSON report, so both paths feed the same
-    // deterministic resolution.
-    let (violations, timings) = if opts.timings {
-        let (vs, ts) = analyze_files_timed(&sources);
-        (vs, Some(ts))
-    } else {
-        (analyze_files(&sources), None)
-    };
-
-    let res = resolve(violations, &scanned, &baseline);
-
-    if opts.bless {
-        let text = Baseline::render(&res.counts, &baseline);
-        let target = baseline_path.unwrap_or(default_baseline);
-        if let Err(e) = std::fs::write(&target, text) {
-            eprintln!("error: cannot write {}: {e}", target.display());
-            return ExitCode::from(EXIT_INTERNAL);
         }
-        println!(
-            "blessed {} ({} files, {} budgeted finding(s))",
-            target.display(),
-            scanned.len(),
-            res.counts.values().sum::<usize>()
-        );
-        return ExitCode::from(EXIT_CLEAN);
     }
+    // Explicit-file mode is simply a small workspace: the per-file and
+    // interprocedural passes run over whatever set was given.
+    let (violations, timings) = analyze_files(&sources);
 
     if let Some(report_path) = &opts.report_path {
-        let json = report::render_json(scanned.len(), &res);
+        let json = report::render_json(sources.len(), &violations);
         if let Err(e) = std::fs::write(report_path, json) {
             eprintln!("error: cannot write {}: {e}", report_path.display());
             return ExitCode::from(EXIT_INTERNAL);
         }
     }
 
-    for v in &res.fresh {
+    for v in &violations {
         println!("{v}");
     }
-    for v in &res.regressions {
-        println!("{v}");
-    }
-    for n in &res.notes {
-        println!("note: {n}");
-    }
-    match &timings {
-        Some(ts) => print!("{}", report::render_summary_timed(scanned.len(), &res, ts)),
-        None => print!("{}", report::render_summary(scanned.len(), &res)),
-    }
+    let timings = opts.timings.then_some(timings.as_slice());
+    print!("{}", report::render_summary(sources.len(), &violations, timings));
 
-    if !res.fresh.is_empty() {
-        ExitCode::from(EXIT_VIOLATION)
-    } else if !res.regressions.is_empty() {
-        ExitCode::from(EXIT_REGRESSION)
-    } else {
+    if violations.is_empty() {
         ExitCode::from(EXIT_CLEAN)
+    } else {
+        ExitCode::from(EXIT_VIOLATION)
     }
 }

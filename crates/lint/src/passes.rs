@@ -1,25 +1,8 @@
-//! The analysis passes of `amud-analyze`.
+//! The per-file analysis passes of `amud-analyze`.
 //!
 //! Every pass runs over the shared [`FileIndex`] (token stream + structural
 //! facts) and emits [`Violation`]s anchored to `file:line:col`. Rules:
 //!
-//! * `unwrap-ratchet` — `.unwrap()` / `.expect(…)` in live library code,
-//!   budgeted per file by the baseline.
-//! * `panic-in-kernel` — `panic!` / `todo!` / `unimplemented!` in the
-//!   numeric kernel crates (`unreachable!` with a proof is allowed).
-//! * `unsafe-contract` — every `unsafe` block/fn/impl must carry a
-//!   structured `// SAFETY:` contract that (a) states the
-//!   aliasing/disjointness argument, (b) is substantive (no placeholders),
-//!   and (c) names at least one identifier from the code it governs. Raw
-//!   pointer derivation (`from_raw_parts*`, `transmute`, …) is confined to
-//!   the disjoint-partition runtime in `crates/par`.
-//! * `undocumented-public-item` — public items in `amud-core` need docs.
-//! * `raw-thread-spawn` — `thread::spawn` / `thread::Builder` outside
-//!   `amud-par`.
-//! * `concurrency-discipline` — `Mutex` / `RwLock` / `Condvar` / atomic
-//!   construction outside `crates/par` and `crates/cache`: all
-//!   synchronisation state lives in the two crates whose determinism
-//!   contracts are proptested.
 //! * `float-determinism` — inside a closure passed to a `par_*` entry
 //!   point, iterator `.sum()` / `.fold(…)` and bare-identifier compound
 //!   accumulation (`acc += …`) are banned: reductions go through the
@@ -32,11 +15,9 @@
 //!   `// KEY-EXEMPT(param): reason` justification.
 //!
 //! The interprocedural rules (`panic-reachability`, `determinism-taint`,
-//! `par-disjointness`, `error-taxonomy`) live in [`crate::workspace`]; the
-//! value-level abstract-interpretation rules (`index-bounds`,
-//! `shape-consistency`, `exit-code-registry`) live in [`crate::dataflow`].
+//! `par-disjointness`, `error-taxonomy`) live in [`crate::workspace`].
 
-use crate::index::{match_delim, next_code, prev_code, FileIndex, UnsafeKind};
+use crate::index::{match_delim, next_code, prev_code, FileIndex};
 use crate::tokenizer::TokKind;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -44,582 +25,112 @@ use std::fmt;
 /// Which rule a violation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleKind {
-    UnwrapRatchet,
-    PanicInKernel,
-    UnsafeContract,
-    UndocumentedPublicItem,
-    RawThreadSpawn,
-    ConcurrencyDiscipline,
     FloatDeterminism,
     CacheKeyCompleteness,
     PanicReachability,
     DeterminismTaint,
     ParDisjointness,
     ErrorTaxonomy,
-    IndexBounds,
-    ShapeConsistency,
-    ExitCodeRegistry,
 }
 
 impl RuleKind {
     pub fn name(self) -> &'static str {
         match self {
-            RuleKind::UnwrapRatchet => "unwrap-ratchet",
-            RuleKind::PanicInKernel => "panic-in-kernel",
-            RuleKind::UnsafeContract => "unsafe-contract",
-            RuleKind::UndocumentedPublicItem => "undocumented-public-item",
-            RuleKind::RawThreadSpawn => "raw-thread-spawn",
-            RuleKind::ConcurrencyDiscipline => "concurrency-discipline",
             RuleKind::FloatDeterminism => "float-determinism",
             RuleKind::CacheKeyCompleteness => "cache-key-completeness",
             RuleKind::PanicReachability => "panic-reachability",
             RuleKind::DeterminismTaint => "determinism-taint",
             RuleKind::ParDisjointness => "par-disjointness",
             RuleKind::ErrorTaxonomy => "error-taxonomy",
-            RuleKind::IndexBounds => "index-bounds",
-            RuleKind::ShapeConsistency => "shape-consistency",
-            RuleKind::ExitCodeRegistry => "exit-code-registry",
         }
     }
 
-    /// Every rule, for summaries and baseline validation.
+    /// Every rule, for the report summary.
     pub fn all() -> &'static [RuleKind] {
         &[
-            RuleKind::UnwrapRatchet,
-            RuleKind::PanicInKernel,
-            RuleKind::UnsafeContract,
-            RuleKind::UndocumentedPublicItem,
-            RuleKind::RawThreadSpawn,
-            RuleKind::ConcurrencyDiscipline,
             RuleKind::FloatDeterminism,
             RuleKind::CacheKeyCompleteness,
             RuleKind::PanicReachability,
             RuleKind::DeterminismTaint,
             RuleKind::ParDisjointness,
             RuleKind::ErrorTaxonomy,
-            RuleKind::IndexBounds,
-            RuleKind::ShapeConsistency,
-            RuleKind::ExitCodeRegistry,
         ]
-    }
-
-    pub fn from_name(name: &str) -> Option<RuleKind> {
-        RuleKind::all().iter().copied().find(|r| r.name() == name)
-    }
-}
-
-/// Diagnostic severity. `Error` findings gate CI; `Warning`s inform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Error,
-    Warning,
-}
-
-impl Severity {
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
     }
 }
 
 /// One structured finding, anchored to a file, 1-based line and column.
+/// Every finding is an error: any one of them fails the run.
 #[derive(Debug, Clone)]
 pub struct Violation {
     pub file: String,
     pub line: u32,
     pub col: u32,
     pub rule: RuleKind,
-    pub severity: Severity,
     pub message: String,
-    pub suggestion: Option<String>,
+    /// How to fix it, or which audited escape applies.
+    pub suggestion: String,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}:{}: {}[{}] {}",
+            "{}:{}:{}: error[{}] {} (help: {})",
             self.file,
             self.line,
             self.col,
-            self.severity.name(),
             self.rule.name(),
-            self.message
-        )?;
-        if let Some(s) = &self.suggestion {
-            write!(f, " (help: {s})")?;
-        }
-        Ok(())
+            self.message,
+            self.suggestion
+        )
     }
 }
 
-/// Which rule set applies to a file, derived from its workspace path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FileRules {
-    /// Ban `panic!`/`todo!`/`unimplemented!` (numeric kernel crates).
-    pub forbid_panic: bool,
-    /// Require doc comments on `pub` items (the flagship API crate).
-    pub require_docs: bool,
-    /// Ban raw `thread::spawn` / `thread::Builder` (everywhere except the
-    /// `amud-par` runtime itself).
-    pub forbid_raw_threads: bool,
-    /// Ban `Mutex`/`Condvar`/atomic construction (everywhere except
-    /// `amud-par`, `amud-cache`, and `amud-serve` — the three crates whose
-    /// job *is* concurrency: the pool runtime, the store, and the serving
-    /// loop's admission queue / shared state).
-    pub forbid_sync_primitives: bool,
-    /// Ban unordered float reductions inside `par_*` closures (everywhere
-    /// except `amud-par`, which hosts the approved ordered folds).
-    pub float_determinism: bool,
-    /// Ban raw-pointer derivation in `unsafe` bodies (everywhere except
-    /// the disjoint-partition runtime in `amud-par`).
-    pub confine_raw_pointers: bool,
-    /// Check cache-key completeness of store-consulting functions.
-    pub cache_key: bool,
-}
-
-/// Rule set for a workspace-relative path.
-pub fn rules_for(path: &str) -> FileRules {
-    let in_par = path.starts_with("crates/par/src/");
-    let in_cache = path.starts_with("crates/cache/src/");
-    let in_serve = path.starts_with("crates/serve/src/");
-    let in_quant = path.starts_with("crates/quant/src/");
-    FileRules {
-        forbid_panic: path.starts_with("crates/nn/src/")
-            || path.starts_with("crates/graph/src/")
-            || in_par,
-        require_docs: path.starts_with("crates/core/src/"),
-        forbid_raw_threads: !in_par,
-        forbid_sync_primitives: !in_par && !in_cache && !in_serve,
-        float_determinism: !in_par,
-        confine_raw_pointers: !in_par,
-        // Quantization parameters (scales, precision codes) feed cache
-        // keys and fingerprints, so amud-quant is governed like the
-        // cache layer: every key-adjacent fn param must flow or be
-        // KEY-EXEMPT-annotated.
-        cache_key: in_cache || in_quant || path == "crates/core/src/precompute.rs",
-    }
-}
-
-fn violation(
+/// A finding of `rule` anchored at token `at` of the file labelled `path`.
+pub(crate) fn violation(
     path: &str,
     ix: &FileIndex,
     at: usize,
     rule: RuleKind,
     message: String,
-    suggestion: Option<&str>,
+    suggestion: &str,
 ) -> Violation {
     Violation {
         file: path.to_string(),
         line: ix.toks[at].line,
         col: ix.toks[at].col,
         rule,
-        severity: Severity::Error,
         message,
-        suggestion: suggestion.map(str::to_string),
+        suggestion: suggestion.to_string(),
     }
 }
 
-/// A per-file pass entry point; gating on [`rules_for`] happens inside.
+/// A per-file pass entry point; gating on the file's path happens inside.
 pub(crate) type FilePass = fn(&str, &FileIndex, &mut Vec<Violation>);
 
-fn gate_panic(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    if rules_for(path).forbid_panic {
-        pass_panic(path, ix, out);
-    }
-}
-
-fn gate_unsafe(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    pass_unsafe_contract(path, ix, rules_for(path).confine_raw_pointers, out);
-}
-
-fn gate_docs(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    if rules_for(path).require_docs {
-        pass_docs(path, ix, out);
-    }
-}
-
-fn gate_threads(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    if rules_for(path).forbid_raw_threads {
-        pass_threads(path, ix, out);
-    }
-}
-
-fn gate_sync(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    if rules_for(path).forbid_sync_primitives {
-        pass_sync_primitives(path, ix, out);
-    }
-}
-
+/// Everywhere except `amud-par`, which hosts the approved ordered folds.
 fn gate_float(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    if rules_for(path).float_determinism {
+    if !path.starts_with("crates/par/src/") {
         pass_float_determinism(path, ix, out);
     }
 }
 
+/// The cache layer, plus amud-quant: quantization parameters (scales,
+/// precision codes) feed cache keys and fingerprints, so every
+/// key-adjacent fn param there must flow or be KEY-EXEMPT-annotated.
 fn gate_cache_key(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    if rules_for(path).cache_key {
+    if path.starts_with("crates/cache/src/")
+        || path.starts_with("crates/quant/src/")
+        || path == "crates/core/src/precompute.rs"
+    {
         pass_cache_key(path, ix, out);
     }
 }
 
 /// The per-file passes in dispatch order, labelled by the rule they
 /// enforce (the label feeds the `--timings` column).
-pub(crate) const FILE_PASSES: &[(&str, FilePass)] = &[
-    ("unwrap-ratchet", pass_unwrap),
-    ("panic-in-kernel", gate_panic),
-    ("unsafe-contract", gate_unsafe),
-    ("undocumented-public-item", gate_docs),
-    ("raw-thread-spawn", gate_threads),
-    ("concurrency-discipline", gate_sync),
-    ("float-determinism", gate_float),
-    ("cache-key-completeness", gate_cache_key),
-];
-
-/// Runs every pass applicable to `path` over the indexed file.
-pub fn run_passes(path: &str, ix: &FileIndex) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (_, pass) in FILE_PASSES {
-        pass(path, ix, &mut out);
-    }
-    out.sort_by_key(|a| (a.line, a.col, a.rule));
-    out
-}
-
-/// `.unwrap()` / `.expect(` occurrences in live code.
-fn pass_unwrap(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    for i in 0..ix.toks.len() {
-        if !ix.is_live(i) || !ix.toks[i].is_punct(".") {
-            continue;
-        }
-        let Some(name) = next_code(&ix.toks, i + 1) else { continue };
-        if !ix.toks[name].is_ident("unwrap") && !ix.toks[name].is_ident("expect") {
-            continue;
-        }
-        let Some(paren) = next_code(&ix.toks, name + 1) else { continue };
-        if !ix.toks[paren].is_punct("(") {
-            continue;
-        }
-        out.push(violation(
-            path,
-            ix,
-            name,
-            RuleKind::UnwrapRatchet,
-            format!("`.{}(…)` in library code", ix.toks[name].text),
-            Some("handle the error, or budget it in lint-allow.txt with a justification"),
-        ));
-    }
-}
-
-/// `panic!` / `todo!` / `unimplemented!` in kernel crates.
-fn pass_panic(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    for i in 0..ix.toks.len() {
-        if !ix.is_live(i) || ix.toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = ix.toks[i].text.as_str();
-        if !matches!(name, "panic" | "todo" | "unimplemented") {
-            continue;
-        }
-        if next_code(&ix.toks, i + 1).is_some_and(|j| ix.toks[j].is_punct("!")) {
-            out.push(violation(
-                path,
-                ix,
-                i,
-                RuleKind::PanicInKernel,
-                format!("`{name}!` in a kernel crate"),
-                Some("return a Result, document the invariant with expect(), or use unreachable! with a proof"),
-            ));
-        }
-    }
-}
-
-/// Words the disjointness/aliasing argument of a SAFETY contract must use
-/// at least one of (case-insensitive).
-const CONTRACT_KEYWORDS: &[&str] = &[
-    "disjoint",
-    "exclusive",
-    "alias",
-    "outlive",
-    "borrow",
-    "valid",
-    "bounds",
-    "unique",
-    "initialis",
-    "initializ",
-];
-
-/// Raw-pointer-deriving intrinsics confined to `crates/par`.
-const RAW_PTR_SOURCES: &[&str] =
-    &["from_raw_parts", "from_raw_parts_mut", "transmute", "transmute_copy", "copy_nonoverlapping"];
-
-/// Minimum contract length (chars after `SAFETY:`) before it counts as a
-/// real argument rather than a placeholder.
-const MIN_CONTRACT_LEN: usize = 40;
-
-/// Structured `// SAFETY:` contracts on every unsafe site.
-fn pass_unsafe_contract(path: &str, ix: &FileIndex, confine_ptrs: bool, out: &mut Vec<Violation>) {
-    for site in ix.unsafe_sites() {
-        let at = site.at;
-        // The contract is the contiguous run of `//` comments whose lines
-        // end directly above the `unsafe` keyword's line.
-        let mut contract = String::new();
-        let mut want_line = ix.toks[at].line;
-        for j in (0..at).rev() {
-            let t = &ix.toks[j];
-            if t.is_code() {
-                // Code earlier on the `unsafe` token's own line (e.g.
-                // `let block = unsafe {…}`) does not end the search; code
-                // on a line above does.
-                if t.line >= want_line {
-                    continue;
-                }
-                break;
-            }
-            if t.kind == TokKind::LineComment && t.line + 1 == want_line {
-                want_line = t.line;
-                contract = format!("{}\n{}", t.text, contract);
-            } else if t.line >= want_line {
-                continue;
-            } else {
-                break;
-            }
-        }
-        // Keep only the part from `SAFETY:` onwards.
-        let contract = match contract.find("SAFETY:") {
-            Some(pos) => contract[pos + "SAFETY:".len()..].replace("//", " "),
-            None => String::new(),
-        };
-        let kind_name = match site.kind {
-            UnsafeKind::Block => "block",
-            UnsafeKind::Fn => "fn",
-            UnsafeKind::Impl => "impl",
-        };
-        if contract.trim().is_empty() {
-            out.push(violation(
-                path,
-                ix,
-                at,
-                RuleKind::UnsafeContract,
-                format!("`unsafe` {kind_name} without a structured `// SAFETY:` contract"),
-                Some("state the aliasing/disjointness argument in a // SAFETY: comment directly above"),
-            ));
-            continue;
-        }
-        let lower = contract.to_lowercase();
-        if contract.trim().len() < MIN_CONTRACT_LEN
-            || !CONTRACT_KEYWORDS.iter().any(|k| lower.contains(k))
-        {
-            out.push(violation(
-                path,
-                ix,
-                at,
-                RuleKind::UnsafeContract,
-                format!(
-                    "SAFETY contract on `unsafe` {kind_name} does not state an \
-                     aliasing/disjointness argument"
-                ),
-                Some("name the disjointness/exclusivity/lifetime property that makes the operation sound"),
-            ));
-            continue;
-        }
-        // The contract must name code it governs: at least one identifier
-        // from the unsafe span must appear as a word in the contract.
-        let governed: BTreeSet<String> = ix.toks[at..site.body.end]
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident && t.text.len() >= 3)
-            .map(|t| t.text.to_lowercase())
-            .collect();
-        let words: BTreeSet<String> = lower
-            .split(|c: char| !c.is_alphanumeric() && c != '_')
-            .filter(|w| w.len() >= 3)
-            .map(str::to_string)
-            .collect();
-        if governed.is_disjoint(&words) {
-            out.push(violation(
-                path,
-                ix,
-                at,
-                RuleKind::UnsafeContract,
-                format!(
-                    "SAFETY contract on `unsafe` {kind_name} names nothing from the code it governs"
-                ),
-                Some("reference the pointer/buffer/API the argument is about (e.g. the partition call that proves disjointness)"),
-            ));
-            continue;
-        }
-        if confine_ptrs {
-            for j in site.body.clone() {
-                if ix.is_live(j)
-                    && ix.toks[j].kind == TokKind::Ident
-                    && RAW_PTR_SOURCES.contains(&ix.toks[j].text.as_str())
-                {
-                    out.push(violation(
-                        path,
-                        ix,
-                        j,
-                        RuleKind::UnsafeContract,
-                        format!(
-                            "`{}` outside the disjoint-partition runtime",
-                            ix.toks[j].text
-                        ),
-                        Some("derive cross-thread pointers only inside amud-par (par_row_blocks_mut and friends)"),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Doc comments on public items (amud-core).
-fn pass_docs(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    const ITEM_KEYWORDS: &[&str] =
-        &["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union"];
-    const MODIFIERS: &[&str] = &["async", "unsafe", "const", "extern"];
-    for i in 0..ix.toks.len() {
-        if !ix.is_live(i) || !ix.toks[i].is_ident("pub") {
-            continue;
-        }
-        // `pub(crate)` and friends are exempt; find the item keyword.
-        let Some(mut j) = next_code(&ix.toks, i + 1) else { continue };
-        if ix.toks[j].is_punct("(") {
-            continue;
-        }
-        let mut hops = 0;
-        while hops < 3 && MODIFIERS.contains(&ix.toks[j].text.as_str()) {
-            match next_code(&ix.toks, j + 1) {
-                Some(n) => j = n,
-                None => break,
-            }
-            hops += 1;
-        }
-        if ix.toks[j].kind != TokKind::Ident || !ITEM_KEYWORDS.contains(&ix.toks[j].text.as_str()) {
-            continue; // `pub use` re-exports and non-items are out of scope
-        }
-        let item_name =
-            next_code(&ix.toks, j + 1).map(|n| ix.toks[n].text.clone()).unwrap_or_default();
-        // Walk backwards over attributes looking for a doc comment.
-        let mut k = i;
-        let mut documented = false;
-        while k > 0 {
-            let p = k - 1;
-            let t = &ix.toks[p];
-            match t.kind {
-                TokKind::LineComment if t.text.starts_with("///") => {
-                    documented = true;
-                    break;
-                }
-                TokKind::BlockComment if t.text.starts_with("/**") => {
-                    documented = true;
-                    break;
-                }
-                TokKind::Punct if t.text == "]" => {
-                    // Skip the attribute: find its matching `[` then `#`.
-                    let mut depth = 0isize;
-                    let mut m = p;
-                    loop {
-                        if ix.toks[m].is_punct("]") {
-                            depth += 1;
-                        } else if ix.toks[m].is_punct("[") {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        if m == 0 {
-                            break;
-                        }
-                        m -= 1;
-                    }
-                    k = if m > 0 && ix.toks[m - 1].is_punct("#") { m - 1 } else { m };
-                }
-                _ => break,
-            }
-        }
-        if !documented {
-            out.push(violation(
-                path,
-                ix,
-                i,
-                RuleKind::UndocumentedPublicItem,
-                format!("public item `{} {item_name}` has no doc comment", ix.toks[j].text),
-                Some("add a /// doc comment (amud-core is the crate other people read first)"),
-            ));
-        }
-    }
-}
-
-/// `thread::spawn` / `thread::Builder` outside amud-par.
-fn pass_threads(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    for i in 0..ix.toks.len() {
-        if !ix.is_live(i) || !ix.toks[i].is_ident("thread") {
-            continue;
-        }
-        let Some(sep) = next_code(&ix.toks, i + 1) else { continue };
-        if !ix.toks[sep].is_punct("::") {
-            continue;
-        }
-        let Some(name) = next_code(&ix.toks, sep + 1) else { continue };
-        if ix.toks[name].is_ident("spawn") || ix.toks[name].is_ident("Builder") {
-            out.push(violation(
-                path,
-                ix,
-                i,
-                RuleKind::RawThreadSpawn,
-                format!("`thread::{}` outside amud-par", ix.toks[name].text),
-                Some("use the deterministic runtime (amud_par::run / par_row_blocks_mut) instead"),
-            ));
-        }
-    }
-}
-
-/// Synchronisation primitives whose construction is confined to
-/// `crates/par` and `crates/cache`.
-const SYNC_TYPES: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "Barrier",
-    "AtomicUsize",
-    "AtomicIsize",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicBool",
-];
-
-fn pass_sync_primitives(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
-    for i in 0..ix.toks.len() {
-        if !ix.is_live(i)
-            || ix.toks[i].kind != TokKind::Ident
-            || !SYNC_TYPES.contains(&ix.toks[i].text.as_str())
-        {
-            continue;
-        }
-        let Some(sep) = next_code(&ix.toks, i + 1) else { continue };
-        if !ix.toks[sep].is_punct("::") {
-            continue;
-        }
-        let Some(name) = next_code(&ix.toks, sep + 1) else { continue };
-        if ix.toks[name].is_ident("new") {
-            out.push(violation(
-                path,
-                ix,
-                i,
-                RuleKind::ConcurrencyDiscipline,
-                format!("`{}::new` outside amud-par/amud-cache", ix.toks[i].text),
-                Some("synchronisation state lives in crates/par and crates/cache, whose determinism contracts are proptested — or baseline with a written justification"),
-            ));
-        }
-    }
-}
+pub(crate) const FILE_PASSES: &[(&str, FilePass)] =
+    &[("float-determinism", gate_float), ("cache-key-completeness", gate_cache_key)];
 
 /// Unordered float reductions inside `par_*` closures, plus hand-rolled
 /// `[f32; N]` lane-accumulator folds anywhere in the file.
@@ -650,7 +161,7 @@ fn pass_float_determinism(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) 
                             "iterator `.{}(…)` inside a parallel closure",
                             ix.toks[name].text
                         ),
-                        Some("use amud_par::lane_sum / lane_dot (the canonical lane-folded order) or ordered_sum / ordered_dot, or an explicit indexed loop"),
+                        "use amud_par::lane_sum / lane_dot (the canonical lane-folded order) or ordered_sum / ordered_dot, or an explicit indexed loop",
                     ));
                 }
                 continue;
@@ -682,7 +193,7 @@ fn pass_float_determinism(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) 
                             "`{} {}` accumulates into a closure-local inside a parallel region",
                             ix.toks[lhs].text, t.text
                         ),
-                        Some("reduce via amud_par::lane_sum / lane_dot (or ordered_sum / ordered_dot), or write each element through the task's own output block"),
+                        "reduce via amud_par::lane_sum / lane_dot (or ordered_sum / ordered_dot), or write each element through the task's own output block",
                     ));
                 }
             }
@@ -787,7 +298,7 @@ fn pass_raw_lane_accumulators(path: &str, ix: &FileIndex, out: &mut Vec<Violatio
                 name_i,
                 RuleKind::FloatDeterminism,
                 format!("raw `[f32; N]` lane accumulator `{name}` folded outside crates/par"),
-                Some("partial-sums reductions belong to amud_par::lanes — reduce via amud_par::lane_sum / lane_dot so the tree shape stays canonical"),
+                "partial-sums reductions belong to amud_par::lanes — reduce via amud_par::lane_sum / lane_dot so the tree shape stays canonical",
             ));
         }
     }
@@ -841,13 +352,13 @@ fn pass_cache_key(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
         // Expand key identifiers through one-level `let` bindings to a
         // fixpoint: `let fp = fingerprint(adj); let key = (fp, n)` covers
         // `adj`.
-        let lets = ix.let_bindings(&f.body);
+        let lets = ix.let_inits(&f.body);
         loop {
             let mut grew = false;
-            for (name, deps) in &lets {
+            for (name, init) in &lets {
                 if key_idents.contains(name) {
-                    for d in deps {
-                        grew |= key_idents.insert(d.clone());
+                    for d in init.clone().filter(|&k| ix.toks[k].kind == TokKind::Ident) {
+                        grew |= key_idents.insert(ix.toks[d].text.clone());
                     }
                 }
             }
@@ -886,7 +397,7 @@ fn pass_cache_key(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
                         "parameter `{p}` of `{}` does not flow into the cache key it looks up",
                         f.name
                     ),
-                    Some("fingerprint it into the key, or add `// KEY-EXEMPT(param): reason` explaining why identity is covered"),
+                    "fingerprint it into the key, or add `// KEY-EXEMPT(param): reason` explaining why identity is covered",
                 ));
             }
         }

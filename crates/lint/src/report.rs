@@ -6,10 +6,10 @@
 //! iterate in `BTreeMap` order — so golden-snapshot tests can compare the
 //! exact bytes.
 
-use crate::passes::Violation;
-use crate::Resolution;
+use crate::passes::{RuleKind, Violation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Escapes a string for a JSON string literal.
 fn esc(s: &str) -> String {
@@ -30,163 +30,87 @@ fn esc(s: &str) -> String {
     out
 }
 
-fn violation_json(v: &Violation, class: &str, indent: &str) -> String {
-    let mut out = format!(
+fn violation_json(v: &Violation, indent: &str) -> String {
+    format!(
         "{indent}{{\n\
          {indent}  \"file\": \"{}\",\n\
          {indent}  \"line\": {},\n\
          {indent}  \"col\": {},\n\
          {indent}  \"rule\": \"{}\",\n\
-         {indent}  \"severity\": \"{}\",\n\
-         {indent}  \"class\": \"{class}\",\n\
-         {indent}  \"message\": \"{}\"",
+         {indent}  \"message\": \"{}\",\n\
+         {indent}  \"suggestion\": \"{}\"\n\
+         {indent}}}",
         esc(&v.file),
         v.line,
         v.col,
         v.rule.name(),
-        v.severity.name(),
         esc(&v.message),
-    );
-    if let Some(s) = &v.suggestion {
-        let _ = write!(out, ",\n{indent}  \"suggestion\": \"{}\"", esc(s));
-    }
-    let _ = write!(out, "\n{indent}}}");
-    out
+        esc(&v.suggestion),
+    )
 }
 
 /// Renders the full machine-readable report.
-pub fn render_json(files_scanned: usize, res: &Resolution) -> String {
-    let mut out = String::from("{\n  \"schema\": \"amud-analyze/1\",\n");
+pub fn render_json(files_scanned: usize, violations: &[Violation]) -> String {
+    let mut out = String::from("{\n  \"schema\": \"amud-analyze/2\",\n");
     let _ = writeln!(out, "  \"files_scanned\": {files_scanned},");
 
     out.push_str("  \"summary\": {");
-    let summary = summary_counts(res);
-    let mut first = true;
-    for (rule, [fresh, regressions, baselined]) in &summary {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    \"{rule}\": {{ \"fresh\": {fresh}, \"regressions\": {regressions}, \"baselined\": {baselined} }}"
-        );
-    }
-    out.push_str(if summary.is_empty() { "},\n" } else { "\n  },\n" });
+    let rows: Vec<String> = summary_counts(violations)
+        .iter()
+        .map(|(rule, n)| format!("\n    \"{rule}\": {n}"))
+        .collect();
+    out.push_str(&rows.join(","));
+    out.push_str("\n  },\n");
 
     out.push_str("  \"violations\": [");
-    let mut first = true;
-    for (v, class) in res
-        .fresh
-        .iter()
-        .map(|v| (v, "fresh"))
-        .chain(res.regressions.iter().map(|v| (v, "regression")))
-    {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(&violation_json(v, class, "    "));
-    }
-    out.push_str(if res.fresh.is_empty() && res.regressions.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-
-    out.push_str("  \"notes\": [");
-    let mut first = true;
-    for n in &res.notes {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\"", esc(n));
-    }
-    out.push_str(if res.notes.is_empty() { "]\n" } else { "\n  ]\n" });
+    let items: Vec<String> =
+        violations.iter().map(|v| format!("\n{}", violation_json(v, "    "))).collect();
+    out.push_str(&items.join(","));
+    out.push_str(if violations.is_empty() { "]\n" } else { "\n  ]\n" });
     out.push_str("}\n");
     out
 }
 
-/// Per-rule `[fresh, regressions, baselined]` counts, sorted by rule name.
-/// Every registered rule appears — zero rows included — so a pass that
-/// went silent is visible in the summary and report diffs stay aligned
-/// across runs.
-pub fn summary_counts(res: &Resolution) -> BTreeMap<String, [usize; 3]> {
-    let mut map: BTreeMap<String, [usize; 3]> = BTreeMap::new();
-    for rule in crate::RuleKind::all() {
-        map.insert(rule.name().to_string(), [0; 3]);
-    }
-    for v in &res.fresh {
-        map.entry(v.rule.name().to_string()).or_default()[0] += 1;
-    }
-    for v in &res.regressions {
-        map.entry(v.rule.name().to_string()).or_default()[1] += 1;
-    }
-    for (rule, n) in &res.baselined {
-        map.entry(rule.clone()).or_default()[2] += n;
+/// Findings per rule, sorted by rule name. Every registered rule appears —
+/// zero rows included — so a pass that went silent is visible in the
+/// summary and report diffs stay aligned across runs.
+fn summary_counts(violations: &[Violation]) -> BTreeMap<&'static str, usize> {
+    let mut map: BTreeMap<&'static str, usize> =
+        RuleKind::all().iter().map(|r| (r.name(), 0)).collect();
+    for v in violations {
+        *map.entry(v.rule.name()).or_default() += 1;
     }
     map
 }
 
-/// The human summary printed after a run.
-pub fn render_summary(files_scanned: usize, res: &Resolution) -> String {
-    let mut out = String::new();
-    let summary = summary_counts(res);
-    for (rule, [fresh, regressions, baselined]) in &summary {
-        let _ = writeln!(
-            out,
-            "  {rule:<26} fresh {fresh:>3}   regressions {regressions:>3}   baselined {baselined:>3}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "amud-analyze: {files_scanned} file(s), {} fresh violation(s), {} regression(s), {} baselined, {} note(s)",
-        res.fresh.len(),
-        res.regressions.len(),
-        res.baselined.values().sum::<usize>(),
-        res.notes.len()
-    );
-    out
-}
-
-/// The `--timings` variant of [`render_summary`]: the same per-rule rows
-/// with a wall-time column, followed by the pipeline stages that are not
-/// rules (lexing, symbol fusion) and a parseable total line. Timings are
-/// human output only — they never enter `analyze-report.json`, which must
-/// stay byte-identical across runs.
-pub fn render_summary_timed(
+/// The human summary printed after a run: one row per rule, then a total
+/// line. With `timings` (the `--timings` flag) each row gains a wall-time
+/// column, the pipeline stages that are not rules (lexing, symbol fusion)
+/// get rows of their own, and a parseable total-time line is added.
+pub fn render_summary(
     files_scanned: usize,
-    res: &Resolution,
-    timings: &[(String, std::time::Duration)],
+    violations: &[Violation],
+    timings: Option<&[(String, Duration)]>,
 ) -> String {
-    let ms = |d: &std::time::Duration| d.as_secs_f64() * 1000.0;
-    let by_name: BTreeMap<&str, f64> = timings.iter().map(|(n, d)| (n.as_str(), ms(d))).collect();
+    let ms = |d: &Duration| d.as_secs_f64() * 1000.0;
     let mut out = String::new();
-    let summary = summary_counts(res);
-    for (rule, [fresh, regressions, baselined]) in &summary {
-        let t = by_name.get(rule.as_str()).copied().unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "  {rule:<26} fresh {fresh:>3}   regressions {regressions:>3}   baselined {baselined:>3}   {t:>8.2} ms"
-        );
-    }
-    for (name, d) in timings {
-        if !summary.contains_key(name.as_str()) {
-            let t = ms(d);
-            let _ = writeln!(out, "  {name:<26} (pipeline stage){:>29}{t:>8.2} ms", "");
+    let summary = summary_counts(violations);
+    for (rule, n) in &summary {
+        let _ = write!(out, "  {rule:<26} findings {n:>3}");
+        if let Some(ts) = timings {
+            let t = ts.iter().find(|(name, _)| name == rule).map_or(0.0, |(_, d)| ms(d));
+            let _ = write!(out, "   {t:>8.2} ms");
         }
+        out.push('\n');
     }
-    let total: f64 = timings.iter().map(|(_, d)| ms(d)).sum();
-    let _ = writeln!(out, "amud-analyze: analysis wall time {:.0} ms", total.ceil());
-    let _ = writeln!(
-        out,
-        "amud-analyze: {files_scanned} file(s), {} fresh violation(s), {} regression(s), {} baselined, {} note(s)",
-        res.fresh.len(),
-        res.regressions.len(),
-        res.baselined.values().sum::<usize>(),
-        res.notes.len()
-    );
+    if let Some(ts) = timings {
+        for (name, d) in ts.iter().filter(|(name, _)| !summary.contains_key(name.as_str())) {
+            let _ = writeln!(out, "  {name:<26} {:<15}{:>8.2} ms", "(stage)", ms(d));
+        }
+        let total: f64 = ts.iter().map(|(_, d)| ms(d)).sum();
+        let _ = writeln!(out, "amud-analyze: analysis wall time {:.0} ms", total.ceil());
+    }
+    let _ =
+        writeln!(out, "amud-analyze: {files_scanned} file(s), {} violation(s)", violations.len());
     out
 }

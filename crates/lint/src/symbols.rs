@@ -30,12 +30,8 @@ pub struct Symbol {
     pub file: usize,
     /// Workspace-relative path of the defining file.
     pub label: String,
-    /// Crate name derived from the path (`crates/nn/src/…` → `nn`).
-    pub krate: String,
     /// Token index of the `fn` keyword in the defining file.
     pub at: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Parameter names in declaration order (`self` excluded).
     pub params: Vec<String>,
     /// Token range of the body in the defining file, braces included.
@@ -46,15 +42,6 @@ pub struct Symbol {
 pub struct SymbolTable {
     pub symbols: Vec<Symbol>,
     by_name: BTreeMap<String, Vec<usize>>,
-}
-
-/// Crate name for a workspace-relative path: `crates/nn/src/x.rs` → `nn`,
-/// anything under the root package's `src/` → `amud-repro`.
-pub fn crate_of(label: &str) -> &str {
-    match label.strip_prefix("crates/") {
-        Some(rest) => rest.split('/').next().unwrap_or(rest),
-        None => "amud-repro",
-    }
 }
 
 impl SymbolTable {
@@ -75,9 +62,7 @@ impl SymbolTable {
                     name: item.name,
                     file: fi,
                     label: label.clone(),
-                    krate: crate_of(label).to_string(),
                     at: item.at,
-                    line: ix.toks[item.at].line,
                     params: item.params,
                     body: item.body,
                 });
@@ -127,7 +112,6 @@ mod tests {
         ]);
         assert_eq!(t.resolve("shared").len(), 2, "same name in two crates → two candidates");
         assert_eq!(t.resolve("only_a").len(), 1);
-        assert_eq!(t.get(t.resolve("only_a")[0]).krate, "nn");
         assert!(t.resolve("missing").is_empty());
     }
 
@@ -139,11 +123,5 @@ mod tests {
         ]);
         assert!(t.resolve("sample").is_empty(), "compat stubs model external crates");
         assert!(t.resolve("helper").is_empty(), "test code is exempt everywhere");
-    }
-
-    #[test]
-    fn crate_of_handles_root_and_crates() {
-        assert_eq!(crate_of("crates/par/src/lib.rs"), "par");
-        assert_eq!(crate_of("src/bin/amud.rs"), "amud-repro");
     }
 }

@@ -9,7 +9,8 @@
 //!   transitively over the call graph) may be reachable from a kernel hot
 //!   path: a `crates/nn` / `crates/graph` function that enters the
 //!   parallel runtime (`par_*`). `unreachable!` with a proof stays the
-//!   sanctioned escape hatch, exactly as in `panic-in-kernel`.
+//!   sanctioned escape hatch, matching the crate-level
+//!   `clippy::panic` warning in nn/graph/par.
 //! * `determinism-taint` — values originating from `std::env`, wall-clock
 //!   time, or ambient RNG state must not flow — through `let` bindings
 //!   and call arguments, interprocedurally — into cache keys
@@ -32,19 +33,21 @@
 //!   function must carry a substantive `// DISJOINT:` proof comment.
 //!   `par_zip_assign` / `par_chunks_mut` partition internally, so they
 //!   are validated once, at their definitions.
-//! * `error-taxonomy` — public fallible functions in `crates/train` and
-//!   `crates/datasets` must return the typed error enums, not
-//!   `String` / `Box` payloads.
+//! * `error-taxonomy` — public fallible functions in `crates/train`,
+//!   `crates/datasets` and `crates/serve` must return the typed error
+//!   enums, not `String` / `Box` payloads. No clippy lint rejects
+//!   `Result<_, String>`, so this one stays here.
 //!
 //! All analysis is lexical and over-approximate in the same way the
 //! symbol table is: a call resolves to every workspace function with
 //! that bare name. For safety checks that is the right polarity — a
-//! spurious same-name edge can cost a justified baseline entry, a missed
-//! real edge would cost a silent non-deterministic kernel.
+//! spurious same-name edge can cost a code change or an audited escape
+//! comment, a missed real edge would cost a silent non-deterministic
+//! kernel.
 
 use crate::callgraph::CallGraph;
 use crate::index::{match_delim, next_code, prev_code, FileIndex};
-use crate::passes::{RuleKind, Severity, Violation};
+use crate::passes::{violation, RuleKind, Violation};
 use crate::symbols::SymbolTable;
 use crate::tokenizer::TokKind;
 use std::collections::BTreeSet;
@@ -55,53 +58,18 @@ use std::ops::Range;
 pub(crate) type WsPass = fn(&[(String, FileIndex)], &SymbolTable, &CallGraph, &mut Vec<Violation>);
 
 /// The interprocedural passes in dispatch order, labelled by the rule
-/// they enforce (the label feeds the `--timings` column). The last three
-/// ride on the value-level abstract domain in [`crate::dataflow`].
+/// they enforce (the label feeds the `--timings` column).
 pub(crate) const WORKSPACE_PASSES: &[(&str, WsPass)] = &[
     ("panic-reachability", pass_panic_reachability),
     ("determinism-taint", pass_determinism_taint),
     ("par-disjointness", pass_par_disjointness),
     ("error-taxonomy", pass_error_taxonomy),
-    ("index-bounds", crate::dataflow::pass_index_bounds),
-    ("shape-consistency", crate::dataflow::pass_shape_consistency),
-    ("exit-code-registry", crate::dataflow::pass_exit_code_registry),
 ];
-
-/// Runs all seven interprocedural passes over the indexed workspace.
-pub fn run_workspace_passes(files: &[(String, FileIndex)]) -> Vec<Violation> {
-    let syms = SymbolTable::build(files);
-    let cg = CallGraph::build(files, &syms);
-    let mut out = Vec::new();
-    for (_, pass) in WORKSPACE_PASSES {
-        pass(files, &syms, &cg, &mut out);
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    out
-}
-
-fn violation(
-    label: &str,
-    ix: &FileIndex,
-    at: usize,
-    rule: RuleKind,
-    message: String,
-    suggestion: &str,
-) -> Violation {
-    Violation {
-        file: label.to_string(),
-        line: ix.toks[at].line,
-        col: ix.toks[at].col,
-        rule,
-        severity: Severity::Error,
-        message,
-        suggestion: Some(suggestion.to_string()),
-    }
-}
 
 /// Top-level comma-split argument ranges of the call whose callee
 /// identifier is at `at`. Closure arguments may split at their parameter
 /// commas — harmless for taint (the union covers the same tokens).
-pub(crate) fn call_args(ix: &FileIndex, at: usize) -> Option<Vec<Range<usize>>> {
+fn call_args(ix: &FileIndex, at: usize) -> Option<Vec<Range<usize>>> {
     let open = next_code(&ix.toks, at + 1)?;
     if !ix.toks[open].is_punct("(") {
         return None;
@@ -128,52 +96,6 @@ pub(crate) fn call_args(ix: &FileIndex, at: usize) -> Option<Vec<Range<usize>>> 
         args.push(start..close);
     }
     Some(args)
-}
-
-/// `let <name> = <init>;` bindings inside `body` with the initialiser's
-/// token range (the range-carrying sibling of `FileIndex::let_bindings`).
-pub(crate) fn binding_inits(ix: &FileIndex, body: &Range<usize>) -> Vec<(String, Range<usize>)> {
-    let mut out = Vec::new();
-    let mut i = body.start;
-    while i < body.end {
-        if ix.is_live(i) && ix.toks[i].is_ident("let") {
-            let Some(mut j) = next_code(&ix.toks, i + 1) else { break };
-            if ix.toks[j].is_ident("mut") {
-                match next_code(&ix.toks, j + 1) {
-                    Some(n) => j = n,
-                    None => break,
-                }
-            }
-            if ix.toks[j].kind == TokKind::Ident {
-                let name = ix.toks[j].text.clone();
-                let mut k = j + 1;
-                while k < body.end && !ix.toks[k].is_punct("=") && !ix.toks[k].is_punct(";") {
-                    k += 1;
-                }
-                if k < body.end && ix.toks[k].is_punct("=") {
-                    let mut depth = 0isize;
-                    let mut m = k + 1;
-                    while m < body.end {
-                        let t = &ix.toks[m];
-                        if t.kind == TokKind::Punct {
-                            match t.text.as_str() {
-                                "(" | "[" | "{" => depth += 1,
-                                ")" | "]" | "}" => depth -= 1,
-                                ";" if depth <= 0 => break,
-                                _ => {}
-                            }
-                        }
-                        m += 1;
-                    }
-                    out.push((name, k + 1..m));
-                    i = m;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// Whether any live identifier in `range` satisfies `pred`.
@@ -525,7 +447,7 @@ fn pass_determinism_taint(
             let call_targets = calls.iter().map(|c| (c.at, c.targets.clone())).collect();
             TaintFacts {
                 sources,
-                bindings: binding_inits(ix, &s.body),
+                bindings: ix.let_inits(&s.body),
                 calls,
                 call_targets,
                 returns: return_ranges(ix, &s.body),
@@ -576,16 +498,6 @@ fn pass_determinism_taint(
         }
     }
 
-    if std::env::var("LINT_DEBUG_TAINT").is_ok() {
-        for s in &syms.symbols {
-            if returns_taint[s.id] {
-                eprintln!("RET-TAINT {} {}", s.label, s.name);
-            }
-            if !param_taint[s.id].is_empty() {
-                eprintln!("PARAM-TAINT {} {} {:?}", s.label, s.name, param_taint[s.id]);
-            }
-        }
-    }
     // Sink scan with the converged summaries.
     for s in &syms.symbols {
         let ix = &files[s.file].1;
@@ -713,7 +625,7 @@ fn pass_par_disjointness(
             let Some(args) = call_args(ix, site.at) else { continue };
             // Lazily compute which locals trace back to a provider.
             let provider_locals = checked_bindings.get_or_insert_with(|| {
-                let bindings = binding_inits(ix, &s.body);
+                let bindings = ix.let_inits(&s.body);
                 let mut locals: BTreeSet<String> = BTreeSet::new();
                 loop {
                     let mut grew = false;
@@ -848,14 +760,11 @@ fn pass_error_taxonomy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::tokenize;
 
     fn analyze(files: &[(&str, &str)]) -> Vec<Violation> {
-        let files: Vec<(String, FileIndex)> = files
-            .iter()
-            .map(|(label, src)| (label.to_string(), FileIndex::new(tokenize(src))))
-            .collect();
-        run_workspace_passes(&files)
+        let files: Vec<(String, String)> =
+            files.iter().map(|(label, src)| (label.to_string(), src.to_string())).collect();
+        crate::analyze_files(&files).0
     }
 
     fn by_rule(vs: &[Violation], rule: RuleKind) -> Vec<&Violation> {

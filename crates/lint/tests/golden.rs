@@ -1,18 +1,17 @@
 //! Golden `analyze-report.json` snapshots — one per analysis pass — plus
 //! tokenizer assertions over the stress corpus.
 //!
-//! Each test runs the engine over a seeded fixture under a label that
-//! selects the pass, resolves against an empty baseline, renders the JSON
-//! report, and compares it byte-for-byte to `fixtures/golden/<name>.json`.
-//! Regenerate after an intentional diagnostic change with:
+//! Each test runs the full engine over a seeded fixture under a label that
+//! selects the pass (a one-file workspace), renders the JSON report, and
+//! compares it byte-for-byte to `fixtures/golden/<name>.json`. Regenerate
+//! after an intentional diagnostic change with:
 //!
 //! ```text
 //! BLESS_GOLDEN=1 cargo test -p amud-lint --test golden
 //! ```
 
 use amud_lint::tokenizer::{tokenize, TokKind};
-use amud_lint::{analyze_files, analyze_source, report, resolve, Baseline, RuleKind};
-use std::collections::BTreeSet;
+use amud_lint::{analyze_files, report, RuleKind, Violation};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -24,45 +23,25 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Analyzes `fixture_name` under `label` with the per-file passes only,
-/// checks the pass fired exactly where expected, and snapshots the
-/// rendered report.
-fn golden_check(fixture_name: &str, label: &str, rule: RuleKind, expect_fresh: usize) {
-    let src = fixture(fixture_name);
-    let violations = analyze_source(label, &src);
-    golden_snapshot(fixture_name, label, violations, rule, expect_fresh);
+fn analyze(fixture_name: &str, label: &str) -> Vec<Violation> {
+    analyze_files(&[(label.to_string(), fixture(fixture_name))]).0
 }
 
-/// Like [`golden_check`] but runs the full engine — per-file *and*
-/// interprocedural workspace passes — treating the fixture as a one-file
-/// workspace under `label`.
-fn golden_check_files(fixture_name: &str, label: &str, rule: RuleKind, expect_fresh: usize) {
-    let src = fixture(fixture_name);
-    let files = vec![(label.to_string(), src)];
-    let violations = analyze_files(&files);
-    golden_snapshot(fixture_name, label, violations, rule, expect_fresh);
-}
+/// Analyzes `fixture_name` under `label`, checks each listed rule fired
+/// exactly the expected number of times, and snapshots the rendered report.
+fn golden_check(fixture_name: &str, label: &str, expect: &[(RuleKind, usize)]) {
+    let violations = analyze(fixture_name, label);
+    for &(rule, n) in expect {
+        let fired = violations.iter().filter(|v| v.rule == rule).count();
+        assert_eq!(
+            fired,
+            n,
+            "{fixture_name}: expected {n} {} finding(s), got {fired}: {violations:#?}",
+            rule.name()
+        );
+    }
 
-fn golden_snapshot(
-    fixture_name: &str,
-    label: &str,
-    violations: Vec<amud_lint::Violation>,
-    rule: RuleKind,
-    expect_fresh: usize,
-) {
-    let scanned: BTreeSet<String> = [label.to_string()].into();
-    let res = resolve(violations, &scanned, &Baseline::default());
-
-    let fired = res.fresh.iter().filter(|v| v.rule == rule).count();
-    assert_eq!(
-        fired,
-        expect_fresh,
-        "{fixture_name}: expected {expect_fresh} {} finding(s), got {fired}: {:#?}",
-        rule.name(),
-        res.fresh
-    );
-
-    let json = report::render_json(1, &res);
+    let json = report::render_json(1, &violations);
     let golden_path = fixtures_dir()
         .join("golden")
         .join(format!("{}.json", fixture_name.trim_end_matches(".rs")));
@@ -85,61 +64,43 @@ fn golden_snapshot(
 }
 
 #[test]
-fn unsafe_contract_pass_golden() {
-    // 3 contract-quality findings + 1 raw-pointer confinement finding.
-    golden_check("unsafe_contract.rs", "crates/train/src/fixture.rs", RuleKind::UnsafeContract, 4);
-}
-
-#[test]
 fn float_determinism_pass_golden() {
     // .sum, .fold, and a bare `acc +=` inside the par closure, plus the
     // file-wide raw `[f32; 8]` lane-accumulator fold.
     golden_check(
         "float_determinism.rs",
         "crates/train/src/fixture.rs",
-        RuleKind::FloatDeterminism,
-        4,
+        &[(RuleKind::FloatDeterminism, 4)],
     );
 }
 
 #[test]
 fn cache_key_pass_golden() {
     // `incomplete` drops conv_r; `complete` and `exempted` stay silent.
-    golden_check("cache_key.rs", "crates/cache/src/fixture.rs", RuleKind::CacheKeyCompleteness, 1);
-}
-
-#[test]
-fn concurrency_pass_golden() {
-    // Mutex::new + AtomicU64::new (the fixture's thread::spawn additionally
-    // trips raw-thread-spawn, captured in the same snapshot).
     golden_check(
-        "concurrency.rs",
-        "crates/train/src/fixture.rs",
-        RuleKind::ConcurrencyDiscipline,
-        2,
+        "cache_key.rs",
+        "crates/cache/src/fixture.rs",
+        &[(RuleKind::CacheKeyCompleteness, 1)],
     );
 }
 
 #[test]
 fn panic_reachability_pass_golden() {
-    // `.expect` in `factor`, reachable via kernel → scale → factor; the
-    // same site is also counted once by the per-file unwrap ratchet.
-    golden_check_files(
+    // `.expect` in `factor`, reachable via kernel → scale → factor.
+    golden_check(
         "panic_reachability.rs",
         "crates/nn/src/fixture.rs",
-        RuleKind::PanicReachability,
-        1,
+        &[(RuleKind::PanicReachability, 1)],
     );
 }
 
 #[test]
 fn determinism_taint_pass_golden() {
     // Wall-clock taint into `ordered_sum`, env-var taint into `from_vec`.
-    golden_check_files(
+    golden_check(
         "determinism_taint.rs",
         "crates/train/src/fixture.rs",
-        RuleKind::DeterminismTaint,
-        2,
+        &[(RuleKind::DeterminismTaint, 2)],
     );
 }
 
@@ -149,17 +110,10 @@ fn quant_crate_is_governed_golden() {
     // omits its per-tensor `scale` from the store key (1 × cache-key), and
     // an env-var epsilon reaches tensor contents through `env_epsilon` →
     // `from_vec` (1 × determinism-taint). Both land in the same snapshot.
-    golden_check_files(
+    golden_check(
         "quant_key.rs",
         "crates/quant/src/fixture.rs",
-        RuleKind::CacheKeyCompleteness,
-        1,
-    );
-    golden_check_files(
-        "quant_key.rs",
-        "crates/quant/src/fixture.rs",
-        RuleKind::DeterminismTaint,
-        1,
+        &[(RuleKind::CacheKeyCompleteness, 1), (RuleKind::DeterminismTaint, 1)],
     );
 }
 
@@ -167,22 +121,20 @@ fn quant_crate_is_governed_golden() {
 fn par_disjointness_pass_golden() {
     // Ad-hoc `vec![0..cut, …]` ranges with neither a partition provider
     // nor a `// DISJOINT:` proof.
-    golden_check_files(
+    golden_check(
         "par_disjointness.rs",
         "crates/nn/src/fixture.rs",
-        RuleKind::ParDisjointness,
-        1,
+        &[(RuleKind::ParDisjointness, 1)],
     );
 }
 
 #[test]
 fn error_taxonomy_pass_golden() {
     // `Result<_, String>` and `Result<_, Box<dyn Error>>` on pub fns.
-    golden_check_files(
+    golden_check(
         "error_taxonomy.rs",
         "crates/datasets/src/fixture.rs",
-        RuleKind::ErrorTaxonomy,
-        2,
+        &[(RuleKind::ErrorTaxonomy, 2)],
     );
 }
 
@@ -190,67 +142,24 @@ fn error_taxonomy_pass_golden() {
 fn serve_error_taxonomy_pass_golden() {
     // The serving crate is governed too: stringly-typed errors on its pub
     // API (instead of `ServeError`/`SnapshotError`) are fresh findings.
-    golden_check_files(
+    golden_check(
         "serve_error_taxonomy.rs",
         "crates/serve/src/fixture.rs",
-        RuleKind::ErrorTaxonomy,
-        2,
+        &[(RuleKind::ErrorTaxonomy, 2)],
     );
-}
-
-#[test]
-fn index_bounds_pass_golden() {
-    // Proved loops, an audited escape, and three seeded violations: an
-    // undominated index, a shadow-killed length fact, and a placeholder
-    // escape reason.
-    golden_check_files("index_bounds.rs", "crates/par/src/fixture.rs", RuleKind::IndexBounds, 3);
-}
-
-#[test]
-fn shape_consistency_pass_golden() {
-    // One clean product and two inner-dimension mismatches, one of them
-    // flowing through QMatrix::quantize.
-    golden_check_files(
-        "shape_consistency.rs",
-        "crates/train/src/fixture.rs",
-        RuleKind::ShapeConsistency,
-        2,
-    );
-}
-
-#[test]
-fn exit_code_registry_pass_golden() {
-    // A documented train-side exit, an undocumented code through an exit
-    // sink, and a serve-owned code claimed from the train side.
-    golden_check_files(
-        "exit_code_registry.rs",
-        "crates/train/src/fixture.rs",
-        RuleKind::ExitCodeRegistry,
-        2,
-    );
-}
-
-#[test]
-fn dataflow_stress_fixture_is_clean() {
-    // Every access needs a composed proof — min chains, tuple lets,
-    // chunking, windows, scaled lane indices, method summaries — and the
-    // domain must discharge all of them without an escape.
-    golden_check_files("dataflow_stress.rs", "crates/par/src/fixture.rs", RuleKind::IndexBounds, 0);
 }
 
 #[test]
 fn clean_fixture_is_clean_everywhere() {
-    let src = fixture("clean.rs");
     for label in
         ["crates/core/src/fixture.rs", "crates/nn/src/fixture.rs", "crates/train/src/fixture.rs"]
     {
-        // Per-file and interprocedural passes both stay silent.
-        let vs = analyze_files(&[(label.to_string(), src.clone())]);
+        let vs = analyze("clean.rs", label);
         assert!(vs.is_empty(), "clean.rs under {label}: {vs:#?}");
     }
     // Snapshot the all-clean report too: the summary must still list every
     // rule, with zero rows, so report diffs stay aligned across runs.
-    golden_check_files("clean.rs", "crates/nn/src/fixture.rs", RuleKind::UnwrapRatchet, 0);
+    golden_check("clean.rs", "crates/nn/src/fixture.rs", &[]);
 }
 
 #[test]
@@ -283,11 +192,7 @@ fn tokenizer_handles_the_stress_corpus() {
     assert!(toks.iter().any(|t| t.is_punct("..")));
     assert!(toks.iter().any(|t| t.is_ident("max")));
 
-    // The analysis itself must not fire on the corpus decoys: the only
-    // findings are the macro's contract-less `unsafe` (by design).
-    let vs = analyze_source("crates/train/src/fixture.rs", &fixture("tokens.rs"));
-    assert!(
-        vs.iter().all(|v| v.rule == RuleKind::UnsafeContract),
-        "decoys must not trip token-level rules: {vs:#?}"
-    );
+    // The analysis itself must not fire on the corpus decoys.
+    let vs = analyze("tokens.rs", "crates/train/src/fixture.rs");
+    assert!(vs.is_empty(), "decoys must not trip any rule: {vs:#?}");
 }

@@ -32,6 +32,8 @@
 //! Adam::new(0.01).step(&mut bank);
 //! ```
 
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod complex;
 pub mod linear;
 pub mod matrix;

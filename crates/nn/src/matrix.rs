@@ -177,14 +177,14 @@ impl DenseMatrix {
 
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
-        // BOUNDS(data): row-major invariant — data.len() == rows · cols;
+        // Row-major invariant — data.len() == rows · cols;
         // callers pass r < rows and c < cols.
         self.data[r * self.cols + c]
     }
 
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        // BOUNDS(data): row-major invariant — data.len() == rows · cols;
+        // Row-major invariant — data.len() == rows · cols;
         // callers pass r < rows and c < cols.
         self.data[r * self.cols + c] = v;
     }
@@ -192,7 +192,7 @@ impl DenseMatrix {
     /// Row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
-        // BOUNDS(data): row-major invariant — data.len() == rows · cols and
+        // Row-major invariant — data.len() == rows · cols and
         // callers pass r < rows.
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -200,7 +200,7 @@ impl DenseMatrix {
     /// Row `r` as a mutable slice.
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        // BOUNDS(data): row-major invariant — data.len() == rows · cols and
+        // Row-major invariant — data.len() == rows · cols and
         // callers pass r < rows.
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -320,7 +320,7 @@ impl DenseMatrix {
         let j_main = self.rows - self.rows % 4;
         let bt = self.transpose();
         let mut blocks = Vec::with_capacity(j_main * self.cols);
-        // BOUNDS(row, data): bt = transpose() swaps dims, so bt.row(k) has
+        // bt = transpose() swaps dims, so bt.row(k) has
         // self.rows ≥ j_main elements; j_main ≤ rows keeps the tail start
         // inside data.
         for jb in 0..j_main / 4 {
@@ -352,7 +352,7 @@ impl DenseMatrix {
         amud_par::par_row_blocks_mut(&mut out.data, packed.n_rows, &parts, |_, rows, block| {
             for (out_row, i) in block.chunks_exact_mut(packed.n_rows).zip(rows) {
                 let a_row = self.row(i);
-                // BOUNDS(blocks, tail): PackedTransB invariant — blocks
+                // PackedTransB invariant — blocks
                 // holds j_main/4 interleaved blocks of cols · 4 entries and
                 // tail the remaining n_rows − j_main rows row-major.
                 for jb in 0..j_main / 4 {
@@ -403,7 +403,7 @@ impl DenseMatrix {
         // order without overlap; each block owns one partial buffer.
         let block_parts: Vec<Range<usize>> = (0..n_blocks).map(|b| b..b + 1).collect();
         let mut partials = vec![0.0f32; n_blocks * out_len];
-        // BOUNDS(k_ranges, partials): split_even returns exactly n_blocks
+        // split_even returns exactly n_blocks
         // ranges and b < n_blocks; partials holds n_blocks · out_len ≥
         // out_len elements (n_blocks ≥ 1 — the rows == 0 case returned).
         amud_par::par_row_blocks_mut(&mut partials, out_len, &block_parts, |b, _, partial| {
@@ -438,7 +438,7 @@ impl DenseMatrix {
             let k = ks.start + kb * 4;
             let (a0, a1, a2, a3) = (a.row(k), a.row(k + 1), a.row(k + 2), a.row(k + 3));
             let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
-            // BOUNDS(a0, a1, a2, a3): acc.len() == a.cols · b.cols, so
+            // acc.len() == a.cols · b.cols, so
             // chunks_exact(b.cols) yields i < a.cols — the row length of a.
             for (i, out_row) in acc.chunks_exact_mut(b.cols).enumerate() {
                 let w = [a0[i], a1[i], a2[i], a3[i]];
@@ -451,7 +451,7 @@ impl DenseMatrix {
         for k in ks.start + main..ks.end {
             let a_row = a.row(k);
             let b_row = b.row(k);
-            // BOUNDS(a_row): acc.len() == a.cols · b.cols, so
+            // acc.len() == a.cols · b.cols, so
             // chunks_exact(b.cols) yields i < a.cols — the row length of a.
             for (i, out_row) in acc.chunks_exact_mut(b.cols).enumerate() {
                 let av = a_row[i];
@@ -478,7 +478,7 @@ impl DenseMatrix {
                 let r1 = (r0 + TRANSPOSE_BLOCK).min(self.rows);
                 for c0 in (cols.start..cols.end).step_by(TRANSPOSE_BLOCK) {
                     let c1 = (c0 + TRANSPOSE_BLOCK).min(cols.end);
-                    // BOUNDS(block, out_row, data): the partition hands this
+                    // The partition hands this
                     // closure (cols.end − cols.start) · rows elements;
                     // r < rows and c < cols.end ≤ self.cols stay inside both
                     // block and the row-major data.
@@ -501,7 +501,7 @@ impl DenseMatrix {
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.rows, self.cols);
         let parts = elem_parts(self.data.len());
-        // BOUNDS(data): elem_parts ranges tile 0..data.len() — the same
+        // elem_parts ranges tile 0..data.len() — the same
         // invariant the runtime disjointness sanitizer checks.
         amud_par::par_row_blocks_mut(&mut out.data, 1, &parts, |_, range, chunk| {
             for (o, &x) in chunk.iter_mut().zip(&self.data[range]) {
@@ -521,7 +521,7 @@ impl DenseMatrix {
     pub fn par_zip_assign(&mut self, other: &[f32], f: impl Fn(&mut f32, f32) + Sync) {
         assert_eq!(self.data.len(), other.len(), "par_zip_assign: length mismatch");
         let parts = elem_parts(self.data.len());
-        // BOUNDS(other): asserted other.len() == data.len(), and the
+        // Asserted other.len() == data.len(), and the
         // elem_parts ranges tile exactly that length.
         amud_par::par_row_blocks_mut(&mut self.data, 1, &parts, |_, range, chunk| {
             for (a, &b) in chunk.iter_mut().zip(&other[range]) {
@@ -589,7 +589,7 @@ impl DenseMatrix {
         for r in 0..rows {
             let out_row = out.row_mut(r);
             let mut offset = 0;
-            // BOUNDS(out_row): offset accumulates part widths that sum to
+            // offset accumulates part widths that sum to
             // total_cols — exactly the row length of out.
             for p in parts {
                 out_row[offset..offset + p.cols].copy_from_slice(p.row(r));

@@ -47,9 +47,16 @@
 //! Spawning OS threads costs tens of microseconds; the training loop calls
 //! kernels thousands of times per second. The pool spawns its workers once
 //! (lazily, on first parallel call) and broadcasts jobs to them; idle
-//! workers block on a condvar and cost nothing. The workspace lint bans
-//! `std::thread::spawn` everywhere else, so all parallelism flows through
-//! this runtime and inherits the determinism contract.
+//! workers block on a condvar and cost nothing. clippy's
+//! `disallowed-methods` (root `clippy.toml`) bans `std::thread::spawn`
+//! everywhere else, so all parallelism flows through this runtime and
+//! inherits the determinism contract.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the pool runtime is where threads and their sync state are built"
+)]
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
 
 mod chunks;
 mod fold;

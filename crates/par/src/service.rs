@@ -9,8 +9,9 @@
 //! — instead of borrowing pool workers.
 //!
 //! Routing service-thread creation through this module keeps the
-//! workspace invariant enforced by the `raw-thread-spawn` lint: *all*
-//! thread creation lives in `crates/par`, so the determinism contract's
+//! workspace invariant enforced by clippy's `disallowed-methods` ban on
+//! `std::thread::spawn` (root `clippy.toml`): *all* thread creation lives
+//! in `crates/par`, so the determinism contract's
 //! audit surface stays one crate wide. Service threads must never touch
 //! tensor kernels' shared outputs directly; they interact with compute by
 //! *calling* kernels (which partition work themselves) or by message

@@ -348,7 +348,7 @@ impl QMatrix {
                 out[..n].copy_from_slice(&row[..n]);
             }
             QMatrix::F16 { cols, bits, .. } => {
-                // BOUNDS(bits, q): QMatrix payloads hold rows · cols encoded
+                // QMatrix payloads hold rows · cols encoded
                 // entries; the serving gather contract passes r < rows.
                 let row = &bits[r * cols..(r + 1) * cols];
                 for (o, &b) in out.iter_mut().zip(row) {

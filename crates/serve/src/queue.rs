@@ -10,10 +10,10 @@
 //! shutdown is prompt) and then drains up to its batch budget with
 //! [`AdmissionQueue::pop_batch`].
 //!
-//! The `Mutex`/`Condvar` pair here is sanctioned by the workspace
-//! `concurrency-discipline` lint (serve is the third concurrency crate,
-//! after `amud-par` and `amud-cache`): service threads are outside the
-//! deterministic-kernel world, and this queue is their only rendezvous.
+//! The `Mutex`/`Condvar` pair here carries a scoped exemption from the
+//! `clippy.toml` sync-constructor ban (serve is the third concurrency
+//! crate, after `amud-par` and `amud-cache`): service threads are outside
+//! the deterministic-kernel world, and this queue is their only rendezvous.
 
 use crate::engine::Prediction;
 use crate::error::ServeError;
@@ -62,6 +62,11 @@ pub struct AdmissionQueue {
 
 impl AdmissionQueue {
     /// Creates a queue holding at most `capacity` requests (≥ 1).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the admission queue is the serving loop's hand-off between handler threads \
+                  and the batcher"
+    )]
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(VecDeque::with_capacity(capacity.max(1))),

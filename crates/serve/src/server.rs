@@ -195,6 +195,10 @@ impl Server {
             TcpListener::bind(("127.0.0.1", cfg.port)).map_err(|e| ServeError::io("bind", &e))?;
         let port = listener.local_addr().map_err(|e| ServeError::io("local_addr", &e))?.port();
 
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the server's shared state: engine, staged swap, stats and shutdown flag"
+        )]
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(cfg.queue_capacity),
             state: Mutex::new(State {

@@ -219,3 +219,88 @@ fn cli_train_accepts_max_retries_flag() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn every_error_variant_exit_code_is_in_the_readme_table() {
+    use amud_repro::graph::GraphError;
+    use amud_repro::serve::{ServeError, SnapshotError};
+
+    let train = [
+        TrainError::NonFiniteLoss { epoch: 0, retries: 0 },
+        TrainError::GradientExplosion { epoch: 0, norm: 1e9, limit: 1.0, retries: 0 },
+        TrainError::VerifierRejected { model: "X".into(), report: String::new() },
+        TrainError::bad_input("x"),
+        TrainError::Timeout { epoch: 0, elapsed_secs: 2.0, limit_secs: 1.0 },
+    ];
+    let dataset = [
+        DatasetError::parse(1, "x"),
+        DatasetError::UnknownDataset { name: "x".into() },
+        DatasetError::Graph(GraphError::EmptyGraph),
+    ];
+    let serve = [
+        ServeError::Snapshot(SnapshotError::BadMagic),
+        ServeError::Deadline { waited_ms: 5 },
+        ServeError::Overload { retry_after_ms: 50 },
+        ServeError::bad_request("x"),
+        ServeError::io("bind", &std::io::Error::other("x")),
+    ];
+    // Exhaustive matches: a new variant fails to compile here until it is
+    // added to the lists above.
+    for e in &train {
+        match e {
+            TrainError::NonFiniteLoss { .. }
+            | TrainError::GradientExplosion { .. }
+            | TrainError::VerifierRejected { .. }
+            | TrainError::BadInput { .. }
+            | TrainError::Timeout { .. } => {}
+        }
+    }
+    for e in &dataset {
+        match e {
+            DatasetError::Parse { .. }
+            | DatasetError::UnknownDataset { .. }
+            | DatasetError::Graph(_) => {}
+        }
+    }
+    for e in &serve {
+        match e {
+            ServeError::Snapshot(_)
+            | ServeError::Deadline { .. }
+            | ServeError::Overload { .. }
+            | ServeError::BadRequest { .. }
+            | ServeError::Io { .. } => {}
+        }
+    }
+
+    // The codes in README's `| exit code | meaning |` table.
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md is readable");
+    let table: Vec<i32> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| exit code | meaning |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.split('|').nth(1).and_then(|c| c.trim().parse().ok()).expect("numeric code"))
+        .collect();
+    assert!(table.contains(&0) && table.contains(&12), "README table parsed: {table:?}");
+    let codes = train
+        .iter()
+        .map(|e| (e.to_string(), e.exit_code()))
+        .chain(dataset.iter().map(|e| (e.to_string(), e.exit_code())))
+        .chain(serve.iter().map(|e| (e.to_string(), e.exit_code())));
+    for (what, code) in codes {
+        assert!(table.contains(&code), "`{what}` exits {code}, which README does not list");
+    }
+    for code in train.iter().map(TrainError::exit_code).chain(dataset.iter().map(|e| e.exit_code()))
+    {
+        assert!((1..=8).contains(&code), "train/dataset code {code} outside 1–8");
+    }
+    for e in &serve {
+        let code = e.exit_code();
+        let io = matches!(e, ServeError::Io { .. });
+        assert!(
+            (io && code == 1) || (!io && (9..=12).contains(&code)),
+            "serve `{e}` exits {code}: want 1 for I/O, else 9–12"
+        );
+    }
+}
