@@ -121,7 +121,7 @@ AMUD_CACHE=off cargo test -q -p amud-core --test precompute_equivalence
 # normal requests, a past-deadline request, and a corrupt-then-valid hot
 # swap, asserting every stats counter moved (tests/serve_e2e.rs::ci_smoke).
 # The `ci_smoke` filter also matches ci_smoke_quantized_snapshot_serves,
-# which serves an int8/f16 artifact and pins wire replies to the
+# which serves an int8/f32 artifact and pins wire replies to the
 # in-process engine on the same bytes.
 echo "==> serve smoke (cargo test --test serve_e2e ci_smoke)"
 cargo test -q --release --test serve_e2e -- ci_smoke
@@ -145,8 +145,8 @@ echo "==> bench-precompute --smoke"
 cargo run --release -q -p amud-bench --bin bench-precompute -- --smoke --out /tmp/BENCH_precompute_smoke.json
 
 # Quantization smoke run: matmul_deq must match decode-then-matmul
-# bitwise, f16/int8 artifacts must clear the 1.7x/3.0x byte-reduction
-# gates on disk AND resident, engine logits must be identical across
+# bitwise, int8 artifacts must clear the 3.0x byte-reduction gate on
+# disk AND resident, engine logits must be identical across
 # thread budgets, the registry accuracy drop stays <= 0.5 pt, and serial
 # matmul timings are gated against the committed baseline (>10% + 0.25 ms
 # per kernel/shape is a regression).

@@ -34,6 +34,7 @@
 //! genuine 2× regression on any non-trivial shape still trips). Shapes
 //! absent from the baseline (e.g. smoke-only shapes) are skipped.
 
+use amud_bench::{bench_args, check_serial_ms, BenchArgs};
 use amud_graph::CsrMatrix;
 use amud_nn::DenseMatrix;
 use rand::rngs::StdRng;
@@ -152,61 +153,13 @@ fn spmm_model(n: usize, x_cols: usize, nnz: usize) -> (f64, f64) {
     ((2 * nnz * x_cols) as f64, (4 * (2 * nnz + nnz * x_cols + n * x_cols)) as f64)
 }
 
-/// Extracts the string value of `"key": "…"` from a single JSON-line `row`.
-fn json_str_field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = row.find(&tag)? + tag.len();
-    let end = row[start..].find('"')?;
-    Some(&row[start..start + end])
-}
-
-/// Extracts the numeric value of `"key": <num>` from a single JSON-line
-/// `row`.
-fn json_num_field(row: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = row.find(&tag)? + tag.len();
-    let num: String = row[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
-}
-
-/// Parses a previous `BENCH_kernels.json` into `(kernel, shape) →
-/// serial_ms`. The format is this binary's own stable hand-rendered JSON:
-/// one result object per line, so a line scan is exact.
-fn parse_baseline(text: &str) -> Vec<((String, String), f64)> {
-    text.lines()
-        .filter_map(|row| {
-            let kernel = json_str_field(row, "kernel")?;
-            let shape = json_str_field(row, "shape")?;
-            let serial = json_num_field(row, "serial_ms")?;
-            Some(((kernel.to_string(), shape.to_string()), serial))
-        })
-        .collect()
-}
-
 fn json_escape_free(s: &str) -> &str {
     debug_assert!(!s.contains('"') && !s.contains('\\'), "labels stay escape-free");
     s
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let check_path = args.iter().position(|a| a == "--check").map(|i| match args.get(i + 1) {
-        Some(p) => p.clone(),
-        None => {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(2);
-        }
-    });
-
+    let BenchArgs { smoke, out: out_path, check } = bench_args("BENCH_kernels.json", true);
     let par_budget = amud_par::max_threads();
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Same rep count in smoke mode: the min-of-reps noise filter is what
@@ -399,46 +352,9 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let baseline = parse_baseline(&text);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} has no parseable result rows");
-            std::process::exit(2);
-        }
-        let mut checked = 0usize;
-        let mut regressed = 0usize;
-        for r in &results {
-            let Some((_, base_ms)) =
-                baseline.iter().find(|((k, s), _)| *k == r.kernel && *s == r.shape)
-            else {
-                continue; // smoke-only shape, or a kernel the baseline predates
-            };
-            checked += 1;
-            // 10% relative budget plus a 0.25 ms absolute floor so
-            // sub-millisecond kernels are not gated on host jitter.
-            let limit = base_ms * 1.10 + 0.25;
-            if r.serial_ms > limit {
-                regressed += 1;
-                eprintln!(
-                    "regression: {} {} serial {:.3}ms exceeds {:.3}ms (baseline {:.3}ms +10% +0.25ms)",
-                    r.kernel, r.shape, r.serial_ms, limit, base_ms
-                );
-            }
-        }
-        println!("check vs {path}: {checked} kernel/shape pair(s) compared, {regressed} regressed");
-        if regressed > 0 {
-            std::process::exit(1);
-        }
-        if checked == 0 {
-            eprintln!("error: no kernel/shape pair overlapped the baseline — nothing was gated");
-            std::process::exit(2);
-        }
+    if let Some(path) = check {
+        let rows: Vec<_> =
+            results.iter().map(|r| (r.kernel, r.shape.as_str(), r.serial_ms)).collect();
+        check_serial_ms(&path, &rows);
     }
 }

@@ -23,7 +23,7 @@
 //! cargo run --release -p amud-bench --bin bench-precompute -- --out p.json
 //! ```
 
-use amud_bench::{load, sweep_config};
+use amud_bench::{bench_args, load, sweep_config, BenchArgs};
 use amud_cache::CacheStats;
 use amud_core::{precompute, Adpa, AdpaConfig};
 use amud_graph::spmm_calls;
@@ -107,13 +107,7 @@ fn tables_identical(a: &Pass, b: &Pass) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_precompute.json".to_string());
+    let BenchArgs { smoke, out: out_path, .. } = bench_args("BENCH_precompute.json", false);
 
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let par_budget = amud_par::max_threads();

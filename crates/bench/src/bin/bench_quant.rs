@@ -5,21 +5,21 @@
 //! latency floor. This harness measures what quantization buys and
 //! proves it changes nothing it must not:
 //!
-//! 1. **decode-then-matmul** — `matmul_deq` over f16/int8 weights, timed
+//! 1. **decode-then-matmul** — `matmul_deq` over int8 weights, timed
 //!    against the f32 `matmul` at dataset-scale shapes and compared
 //!    bitwise with `a.matmul(&q.dequantize())`. `matmul_deq` is that
 //!    expression by construction; the bitwise check guards against a
 //!    fused per-precision kernel creeping back in and drifting from it;
 //! 2. **artifact bytes** — disk bytes ([`write_snapshot`]'s return) and
 //!    resident bytes (`QuantizedExport::n_bytes`) per precision, gated at
-//!    ≥ 1.7× (f16) and ≥ 3.0× (int8) reduction vs f32;
+//!    ≥ 3.0× (int8) reduction vs f32;
 //! 3. **per-query latency** — engine `logits` on a serving-sized batch,
 //!    per precision;
 //! 4. **thread determinism** — quantized-engine logits must be
 //!    bit-identical across `AMUD_THREADS` ∈ {1, 2, 3, 8};
 //! 5. **accuracy sweep** — train ADPA on tiny registry replicas, serve
-//!    the same model at f32/f16/int8, and gate the mean test-accuracy
-//!    drop at ≤ 0.5 points per quantized precision.
+//!    the same model at f32 and int8, and gate the mean test-accuracy
+//!    drop at ≤ 0.5 points.
 //!
 //! Results go to `BENCH_quant.json`. Exit code 1 if any gate fails.
 //!
@@ -30,11 +30,13 @@
 //! cargo run --release -p amud-bench --bin bench-quant -- --smoke --check BENCH_quant.json
 //! ```
 //!
-//! `--check <baseline.json>` mirrors `bench-kernels`: any kernel/shape
-//! row present in both runs may regress `serial_ms` by at most 10% plus
-//! a 0.25 ms noise floor; rows absent from the baseline are skipped, and
-//! an unreadable or row-free baseline is exit 2.
+//! `--check <baseline.json>` is the gate `bench-kernels` uses
+//! ([`amud_bench::check_serial_ms`]): any kernel/shape row present in
+//! both runs may regress `serial_ms` by at most 10% plus a 0.25 ms noise
+//! floor; rows absent from the baseline are skipped, and an unreadable
+//! or row-free baseline is exit 2.
 
+use amud_bench::{bench_args, check_serial_ms, BenchArgs};
 use amud_core::paradigm;
 use amud_core::{Adpa, AdpaConfig};
 use amud_datasets::registry::all_specs;
@@ -72,7 +74,6 @@ struct ArtifactRow {
 struct AccuracyRow {
     dataset: String,
     f32_acc: f64,
-    f16_acc: f64,
     i8_acc: f64,
 }
 
@@ -100,36 +101,6 @@ fn seeded(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
 }
 
-/// Extracts the string value of `"key": "…"` from a single JSON-line `row`.
-fn json_str_field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = row.find(&tag)? + tag.len();
-    let end = row[start..].find('"')?;
-    Some(&row[start..start + end])
-}
-
-/// Extracts the numeric value of `"key": <num>` from a single JSON-line `row`.
-fn json_num_field(row: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = row.find(&tag)? + tag.len();
-    let num: String = row[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
-}
-
-fn parse_baseline(text: &str) -> Vec<((String, String), f64)> {
-    text.lines()
-        .filter_map(|row| {
-            let kernel = json_str_field(row, "kernel")?;
-            let shape = json_str_field(row, "shape")?;
-            let serial = json_num_field(row, "serial_ms")?;
-            Some(((kernel.to_string(), shape.to_string()), serial))
-        })
-        .collect()
-}
-
 fn data_for(name: &str, seed: u64) -> GraphData {
     let d = replica(name, ReplicaScale::tiny(), seed);
     match GraphData::new(
@@ -152,20 +123,7 @@ fn engine_accuracy(engine: &Engine, data: &GraphData) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_quant.json".to_string());
-    let check_path = args.iter().position(|a| a == "--check").map(|i| match args.get(i + 1) {
-        Some(p) => p.clone(),
-        None => {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(2);
-        }
-    });
+    let BenchArgs { smoke, out: out_path, check } = bench_args("BENCH_quant.json", true);
 
     let par_budget = amud_par::max_threads();
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -191,14 +149,11 @@ fn main() {
 
         // The f32 row runs through `matmul_deq` too: for a `QMatrix::F32`
         // weight it is the plain f32 `matmul`.
-        let weights: Vec<(&'static str, QMatrix)> = [
-            ("matmul_f32", Precision::F32),
-            ("matmul_deq_f16", Precision::F16),
-            ("matmul_deq_i8", Precision::I8),
-        ]
-        .into_iter()
-        .map(|(name, precision)| (name, QMatrix::quantize(&b, precision)))
-        .collect();
+        let weights: Vec<(&'static str, QMatrix)> =
+            [("matmul_f32", Precision::F32), ("matmul_deq_i8", Precision::I8)]
+                .into_iter()
+                .map(|(name, precision)| (name, QMatrix::quantize(&b, precision)))
+                .collect();
         // The exactness contract: matmul_deq == decode-then-matmul, bit
         // for bit. (It differs from f32 matmul by the quantization
         // rounding itself, which is the accuracy sweep's concern.) These
@@ -211,7 +166,7 @@ fn main() {
             })
             .collect();
         // Interleaved repetitions: each round times every kernel once, so
-        // a slow stretch of the host slows all three alike and the
+        // a slow stretch of the host slows both alike and the
         // matmul_deq / matmul_f32 ratio stays meaningful.
         let mut best = vec![f64::INFINITY; weights.len()];
         for _ in 0..reps {
@@ -252,7 +207,7 @@ fn main() {
         std::env::temp_dir().join(format!("amud-bench-quant-{}.snap", std::process::id()));
     let mut artifacts: Vec<ArtifactRow> = Vec::new();
     let mut engines: Vec<(Precision, Engine)> = Vec::new();
-    for precision in [Precision::F32, Precision::F16, Precision::I8] {
+    for precision in [Precision::F32, Precision::I8] {
         let snap = base.requantized(QuantSpec::uniform(precision));
         let disk_bytes = write_snapshot(&snap_path, &snap).unwrap_or_else(|e| fail(&e.to_string()));
         let resident_bytes = snap.export.n_bytes();
@@ -289,18 +244,14 @@ fn main() {
             r.query_us
         );
     }
-    for (row, min_ratio) in [(&artifacts[1], 1.7), (&artifacts[2], 3.0)] {
-        for (kind, f32_b, b) in [
-            ("disk", f32_row.disk_bytes, row.disk_bytes),
-            ("resident", f32_row.resident_bytes, row.resident_bytes),
-        ] {
-            let ratio = f32_b as f64 / b as f64;
-            if ratio < min_ratio {
-                fail(&format!(
-                    "{} {kind} reduction {ratio:.2}x is below the {min_ratio}x gate",
-                    row.precision
-                ));
-            }
+    let i8_row = &artifacts[1];
+    for (kind, f32_b, b) in [
+        ("disk", f32_row.disk_bytes, i8_row.disk_bytes),
+        ("resident", f32_row.resident_bytes, i8_row.resident_bytes),
+    ] {
+        let ratio = f32_b as f64 / b as f64;
+        if ratio < 3.0 {
+            fail(&format!("int8 {kind} reduction {ratio:.2}x is below the 3.0x gate"));
         }
     }
 
@@ -347,31 +298,15 @@ fn main() {
         let row = AccuracyRow {
             dataset: name.to_string(),
             f32_acc: acc_at(QuantSpec::F32),
-            f16_acc: acc_at(QuantSpec::uniform(Precision::F16)),
             i8_acc: acc_at(QuantSpec::uniform(Precision::I8)),
         };
-        println!(
-            "accuracy: {:<18} f32 {:.3}  f16 {:.3}  int8 {:.3}",
-            row.dataset, row.f32_acc, row.f16_acc, row.i8_acc
-        );
+        println!("accuracy: {:<18} f32 {:.3}  int8 {:.3}", row.dataset, row.f32_acc, row.i8_acc);
         rows.push(row);
     }
-    let mean =
-        |f: &dyn Fn(&AccuracyRow) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
-    let drop_f16 = mean(&|r: &AccuracyRow| r.f32_acc - r.f16_acc);
-    let drop_i8 = mean(&|r: &AccuracyRow| r.f32_acc - r.i8_acc);
-    println!(
-        "accuracy: mean drop vs f32 — f16 {:.2}pt, int8 {:.2}pt (gate ≤ 0.50pt)",
-        drop_f16 * 100.0,
-        drop_i8 * 100.0
-    );
-    for (name, drop) in [("f16", drop_f16), ("int8", drop_i8)] {
-        if drop > 0.005 {
-            fail(&format!(
-                "{name} mean accuracy drop {:.2}pt exceeds the 0.5pt gate",
-                drop * 100.0
-            ));
-        }
+    let drop_i8 = rows.iter().map(|r| r.f32_acc - r.i8_acc).sum::<f64>() / rows.len() as f64;
+    println!("accuracy: mean drop vs f32 — int8 {:.2}pt (gate ≤ 0.50pt)", drop_i8 * 100.0);
+    if drop_i8 > 0.005 {
+        fail(&format!("int8 mean accuracy drop {:.2}pt exceeds the 0.5pt gate", drop_i8 * 100.0));
     }
 
     // Machine-readable JSON (hand-rendered: std-only workspace).
@@ -408,17 +343,15 @@ fn main() {
     json.push_str("  ],\n  \"accuracy\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"f32_acc\": {:.4}, \"f16_acc\": {:.4}, \"i8_acc\": {:.4}}}{}\n",
+            "    {{\"dataset\": \"{}\", \"f32_acc\": {:.4}, \"i8_acc\": {:.4}}}{}\n",
             r.dataset,
             r.f32_acc,
-            r.f16_acc,
             r.i8_acc,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"mean_drop_f16_pt\": {:.4},\n  \"mean_drop_i8_pt\": {:.4},\n  \"thread_deterministic\": true\n}}\n",
-        drop_f16 * 100.0,
+        "  ],\n  \"mean_drop_i8_pt\": {:.4},\n  \"thread_deterministic\": true\n}}\n",
         drop_i8 * 100.0
     ));
     if let Err(e) = std::fs::write(&out_path, json) {
@@ -426,46 +359,9 @@ fn main() {
     }
     println!("wrote {out_path}");
 
-    if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let baseline = parse_baseline(&text);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} has no parseable result rows");
-            std::process::exit(2);
-        }
-        let mut checked = 0usize;
-        let mut regressed = 0usize;
-        for r in &kernels {
-            let Some((_, base_ms)) =
-                baseline.iter().find(|((k, s), _)| *k == r.kernel && *s == r.shape)
-            else {
-                continue; // smoke-only shape, or a kernel the baseline predates
-            };
-            checked += 1;
-            // 10% relative budget plus a 0.25 ms absolute floor, matching
-            // bench-kernels' regression policy.
-            let limit = base_ms * 1.10 + 0.25;
-            if r.serial_ms > limit {
-                regressed += 1;
-                eprintln!(
-                    "regression: {} {} serial {:.3}ms exceeds {:.3}ms (baseline {:.3}ms +10% +0.25ms)",
-                    r.kernel, r.shape, r.serial_ms, limit, base_ms
-                );
-            }
-        }
-        println!("check vs {path}: {checked} kernel/shape pair(s) compared, {regressed} regressed");
-        if regressed > 0 {
-            std::process::exit(1);
-        }
-        if checked == 0 {
-            eprintln!("error: no kernel/shape pair overlapped the baseline — nothing was gated");
-            std::process::exit(2);
-        }
+    if let Some(path) = check {
+        let rows: Vec<_> =
+            kernels.iter().map(|r| (r.kernel, r.shape.as_str(), r.serial_ms)).collect();
+        check_serial_ms(&path, &rows);
     }
 }

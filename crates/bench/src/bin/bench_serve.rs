@@ -35,6 +35,7 @@
 //! cargo run --release -p amud-bench --bin bench-serve -- --out s.json
 //! ```
 
+use amud_bench::{bench_args, BenchArgs};
 use amud_par::spawn_service;
 use amud_serve::{synthetic_snapshot, write_snapshot, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -126,13 +127,7 @@ fn poll_stats(client: &mut Client, what: &str, pred: impl Fn(&str) -> bool) -> S
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let BenchArgs { smoke, out: out_path, .. } = bench_args("BENCH_serve.json", false);
 
     let n_nodes = if smoke { 300 } else { 5_000 };
     let n_requests = if smoke { 400 } else { 5_000 };

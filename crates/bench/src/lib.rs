@@ -18,6 +18,12 @@
 //! | `fig7`   | Fig. 7 — sparsity robustness |
 //! | `bench-kernels` | serial vs parallel kernel timings → `BENCH_kernels.json` |
 //! | `bench-precompute` | uncached/cold/warm sweep cost → `BENCH_precompute.json` |
+//! | `bench-serve` | serving latency, QPS and fault paths → `BENCH_serve.json` |
+//! | `bench-quant` | int8 artifact bytes, decode-then-matmul, accuracy → `BENCH_quant.json` |
+//!
+//! The four `bench-*` binaries share their flag parsing ([`bench_args`]);
+//! `bench-kernels` and `bench-quant` share the `--check` regression gate
+//! ([`check_serial_ms`]).
 //!
 //! Shared environment knobs (all optional):
 //!
@@ -292,5 +298,174 @@ pub fn train_curve_for(
         let input = if is_directed_model(name) { data.clone() } else { data.to_undirected() };
         let mut model = Shim(build_model(name, &input, seed));
         train_with_curve(&mut model, &input, cfg, seed)
+    }
+}
+
+/// Flags shared by the `bench-*` binaries.
+#[derive(Debug, PartialEq)]
+pub struct BenchArgs {
+    /// `--smoke`: CI-sized shapes.
+    pub smoke: bool,
+    /// `--out <path>`: where the JSON report is written.
+    pub out: String,
+    /// `--check <baseline.json>`: the committed report to gate against.
+    pub check: Option<String>,
+}
+
+/// Parses the `bench-*` flags: `--smoke`, `--out <path>` (default
+/// `default_out`) and, when `with_check`, `--check <baseline.json>`. A
+/// flag without its value or any other argument is a usage error: exit 2
+/// before any work runs or any file is written.
+pub fn bench_args(default_out: &str, with_check: bool) -> BenchArgs {
+    parse_bench_args(std::env::args().skip(1), default_out, with_check).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_bench_args(
+    args: impl IntoIterator<Item = String>,
+    default_out: &str,
+    with_check: bool,
+) -> Result<BenchArgs, String> {
+    let mut parsed = BenchArgs { smoke: false, out: default_out.to_string(), check: None };
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| match args.next() {
+            Some(v) if !v.starts_with("--") => Ok(v),
+            _ => Err(format!("{arg} requires {what}")),
+        };
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--out" => parsed.out = value("an output path")?,
+            "--check" if with_check => parsed.check = Some(value("a baseline path")?),
+            _ => {
+                let check = if with_check { ", --check <baseline.json>" } else { "" };
+                return Err(format!(
+                    "unknown argument '{arg}' (want --smoke, --out <path>{check})"
+                ));
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+/// Extracts the string value of `"key": "…"` from a single JSON-line `row`.
+fn json_str_field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
+    let tag = format!("\"{key}\": \"");
+    let start = row.find(&tag)? + tag.len();
+    let end = row[start..].find('"')?;
+    Some(&row[start..start + end])
+}
+
+/// Extracts the numeric value of `"key": <num>` from a single JSON-line
+/// `row`.
+fn json_num_field(row: &str, key: &str) -> Option<f64> {
+    let tag = format!("\"{key}\": ");
+    let start = row.find(&tag)? + tag.len();
+    let num: String = row[start..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
+        .collect();
+    num.parse().ok()
+}
+
+/// Parses a committed `BENCH_*.json` into `(kernel, shape) → serial_ms`.
+/// The reports are hand-rendered with one result object per line, so a
+/// line scan is exact.
+fn parse_baseline(text: &str) -> Vec<((String, String), f64)> {
+    text.lines()
+        .filter_map(|row| {
+            let kernel = json_str_field(row, "kernel")?;
+            let shape = json_str_field(row, "shape")?;
+            let serial = json_num_field(row, "serial_ms")?;
+            Some(((kernel.to_string(), shape.to_string()), serial))
+        })
+        .collect()
+}
+
+/// The `--check` regression gate: every `(kernel, shape, serial_ms)` row
+/// also present in the baseline at `path` may be at most 10% plus 0.25 ms
+/// slower (the floor absorbs host jitter on sub-millisecond kernels,
+/// while a real 2× regression on any non-trivial shape still trips).
+/// Rows absent from the baseline (smoke-only shapes, new kernels) are
+/// skipped. Exits 1 on a regression, and 2 when the baseline is
+/// unreadable, has no rows, or shares no row with this run.
+pub fn check_serial_ms(path: &str, rows: &[(&str, &str, f64)]) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read baseline {path}: {e}");
+        std::process::exit(2)
+    });
+    let baseline = parse_baseline(&text);
+    if baseline.is_empty() {
+        eprintln!("error: baseline {path} has no parseable result rows");
+        std::process::exit(2);
+    }
+    let mut checked = 0usize;
+    let mut regressed = 0usize;
+    for &(kernel, shape, serial_ms) in rows {
+        let Some((_, base_ms)) = baseline.iter().find(|((k, s), _)| k == kernel && s == shape)
+        else {
+            continue;
+        };
+        checked += 1;
+        let limit = base_ms * 1.10 + 0.25;
+        if serial_ms > limit {
+            regressed += 1;
+            eprintln!(
+                "regression: {kernel} {shape} serial {serial_ms:.3}ms exceeds {limit:.3}ms (baseline {base_ms:.3}ms +10% +0.25ms)"
+            );
+        }
+    }
+    println!("check vs {path}: {checked} kernel/shape pair(s) compared, {regressed} regressed");
+    if regressed > 0 {
+        std::process::exit(1);
+    }
+    if checked == 0 {
+        eprintln!("error: no kernel/shape pair overlapped the baseline — nothing was gated");
+        std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], with_check: bool) -> Result<BenchArgs, String> {
+        parse_bench_args(args.iter().map(|a| a.to_string()), "BENCH_x.json", with_check)
+    }
+
+    #[test]
+    fn bench_args_read_every_flag() {
+        let got = parse(&["--smoke", "--out", "o.json", "--check", "b.json"], true).unwrap();
+        let want = BenchArgs { smoke: true, out: "o.json".into(), check: Some("b.json".into()) };
+        assert_eq!(got, want);
+        let default = parse(&[], true).unwrap();
+        assert_eq!(
+            (default.smoke, default.out.as_str(), default.check),
+            (false, "BENCH_x.json", None)
+        );
+    }
+
+    #[test]
+    fn bench_args_reject_missing_values() {
+        // A bare trailing `--out` must not fall back to the committed report.
+        assert!(parse(&["--smoke", "--out"], true).is_err());
+        assert!(parse(&["--check"], true).is_err());
+        assert!(parse(&["--out", "--smoke"], true).is_err());
+    }
+
+    #[test]
+    fn bench_args_reject_unknown_flags() {
+        let err = parse(&["--smoke", "--chek", "x"], true).unwrap_err();
+        assert!(err.contains("--chek"), "{err}");
+        assert!(parse(&["--check", "b.json"], false).is_err(), "--check is opt-in per binary");
+        assert!(parse(&["stray"], true).is_err());
+    }
+
+    #[test]
+    fn baseline_rows_parse_from_report_lines() {
+        let text = "{\n  \"kernels\": [\n    {\"kernel\": \"matmul\", \"shape\": \"4x4\", \"serial_ms\": 1.25, \"gbs\": 2}\n  ]\n}\n";
+        assert_eq!(parse_baseline(text), vec![(("matmul".into(), "4x4".into()), 1.25)]);
     }
 }

@@ -16,7 +16,6 @@
 
 use amud_graph::CsrMatrix;
 use amud_nn::DenseMatrix;
-use amud_quant::QMatrix;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -111,45 +110,6 @@ pub fn fingerprint_dense(m: &DenseMatrix) -> u64 {
     h.finish()
 }
 
-/// Content fingerprint of a quantized matrix: a precision-specific domain
-/// tag, the shape, the int8 scale (when present), and every stored
-/// element's bit pattern.
-///
-/// The domain tag is the load-bearing part: an f32 tensor and any
-/// quantization of it must **never** collide, even though they decode to
-/// (nearly) the same values — a cache hit across precisions would hand a
-/// quantized artifact to a caller expecting full precision. The tag
-/// offsets the precision code away from the `fingerprint_dense` encoding
-/// (which starts with a row count), so the two hash streams diverge at
-/// byte 0.
-pub fn fingerprint_qdense(m: &QMatrix) -> u64 {
-    let mut h = Fnv1a::new();
-    // Domain separator: "AMQ" ++ precision code, as one u64. A plain
-    // dense fingerprint starts with `rows as u64`, which cannot equal
-    // this constant for any realistic matrix (it would need ~4.6e18
-    // rows).
-    h.write_u64(0x414d_5100_0000_0000 | u64::from(m.precision().code()));
-    match m {
-        QMatrix::F32(d) => h.write_u64(fingerprint_dense(d)),
-        QMatrix::F16 { rows, cols, bits } => {
-            h.write_u64(*rows as u64);
-            h.write_u64(*cols as u64);
-            for &b in bits {
-                h.write_bytes(&b.to_le_bytes());
-            }
-        }
-        QMatrix::I8 { rows, cols, scale, q } => {
-            h.write_u64(*rows as u64);
-            h.write_u64(*cols as u64);
-            h.write_f32(*scale);
-            for &v in q {
-                h.write_bytes(&[v as u8]);
-            }
-        }
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,44 +164,5 @@ mod tests {
     #[test]
     fn bytes_fingerprint_is_length_prefixed() {
         assert_ne!(fingerprint_bytes(b""), fingerprint_bytes(b"\0"));
-    }
-
-    #[test]
-    fn quantized_fingerprints_never_collide_across_precisions() {
-        use amud_quant::Precision;
-        let m = DenseMatrix::from_fn(5, 7, |r, c| ((r * 7 + c) as f32 * 0.37).sin());
-        let f32fp = fingerprint_dense(&m);
-        let qf32 = fingerprint_qdense(&QMatrix::quantize(&m, Precision::F32));
-        let qf16 = fingerprint_qdense(&QMatrix::quantize(&m, Precision::F16));
-        let qi8 = fingerprint_qdense(&QMatrix::quantize(&m, Precision::I8));
-        // Same source tensor, four distinct addresses: the raw dense hash
-        // and each precision's domain-tagged hash.
-        let all = [f32fp, qf32, qf16, qi8];
-        for i in 0..all.len() {
-            for j in i + 1..all.len() {
-                assert_ne!(all[i], all[j], "i={i} j={j}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_fingerprint_is_content_addressed() {
-        use amud_quant::Precision;
-        let m = DenseMatrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.5);
-        let a = fingerprint_qdense(&QMatrix::quantize(&m, Precision::F16));
-        let b = fingerprint_qdense(&QMatrix::quantize(&m, Precision::F16));
-        assert_eq!(a, b);
-        let mut changed = m.clone();
-        changed.as_mut_slice()[2] += 1.0;
-        assert_ne!(a, fingerprint_qdense(&QMatrix::quantize(&changed, Precision::F16)));
-    }
-
-    #[test]
-    fn quantized_fingerprint_tracks_the_scale() {
-        // Two int8 tensors with identical payloads but different scales
-        // decode differently and must key differently.
-        let a = QMatrix::try_i8(1, 3, 0.5, vec![1, 2, 3]).unwrap();
-        let b = QMatrix::try_i8(1, 3, 0.25, vec![1, 2, 3]).unwrap();
-        assert_ne!(fingerprint_qdense(&a), fingerprint_qdense(&b));
     }
 }

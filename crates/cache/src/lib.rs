@@ -33,9 +33,7 @@ pub mod fingerprint;
 pub mod stats;
 pub mod store;
 
-pub use fingerprint::{
-    fingerprint_bytes, fingerprint_csr, fingerprint_dense, fingerprint_qdense, Fnv1a,
-};
+pub use fingerprint::{fingerprint_bytes, fingerprint_csr, fingerprint_dense, Fnv1a};
 pub use stats::{
     record_feat_extend, record_feat_hit, record_feat_miss, record_op_hit, record_op_miss,
     reset_stats, stats, CacheStats,

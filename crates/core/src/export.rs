@@ -366,24 +366,22 @@ mod tests {
         let model = Adpa::new(&d, AdpaConfig::default(), 3).unwrap();
         let e = model.export();
         let f32_bytes = e.n_floats() * 4;
-        for (p, min_ratio) in [(Precision::F16, 1.7), (Precision::I8, 3.0)] {
-            let q = QuantizedExport::quantize(&e, QuantSpec::uniform(p));
-            assert_eq!(q.spec(), QuantSpec::uniform(p));
-            assert_eq!(q.n_nodes(), e.n_nodes());
-            assert_eq!(q.n_features(), e.n_features());
-            let ratio = f32_bytes as f64 / q.n_bytes() as f64;
-            assert!(ratio >= min_ratio, "{}: ratio {ratio:.2} < {min_ratio}", p.name());
-            let back = q.dequantize();
-            assert_eq!(back.k_steps, e.k_steps);
-            assert_eq!(back.x0.shape(), e.x0.shape());
-        }
+        let q = QuantizedExport::quantize(&e, QuantSpec::uniform(Precision::I8));
+        assert_eq!(q.spec(), QuantSpec::uniform(Precision::I8));
+        assert_eq!(q.n_nodes(), e.n_nodes());
+        assert_eq!(q.n_features(), e.n_features());
+        let ratio = f32_bytes as f64 / q.n_bytes() as f64;
+        assert!(ratio >= 3.0, "int8: ratio {ratio:.2} < 3.0");
+        let back = q.dequantize();
+        assert_eq!(back.k_steps, e.k_steps);
+        assert_eq!(back.x0.shape(), e.x0.shape());
         // Mixed precision: features and weights quantize independently.
         let mixed = QuantizedExport::quantize(
             &e,
-            QuantSpec { features: Precision::I8, weights: Precision::F16 },
+            QuantSpec { features: Precision::I8, weights: Precision::F32 },
         );
         assert_eq!(mixed.x0.precision(), Precision::I8);
-        assert_eq!(mixed.fuse.w.precision(), Precision::F16);
-        assert_eq!(mixed.classifier.last().unwrap().w.precision(), Precision::F16);
+        assert_eq!(mixed.fuse.w.precision(), Precision::F32);
+        assert_eq!(mixed.classifier.last().unwrap().w.precision(), Precision::F32);
     }
 }

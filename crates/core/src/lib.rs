@@ -50,5 +50,4 @@ pub use adpa::{Adpa, AdpaConfig, DpAttention};
 pub use amud::{amud_score, AmudDecision, AmudReport, PatternCorrelation};
 pub use export::{AdpaExport, LinearExport, QLinear, QuantizedExport};
 pub use paradigm::{prepare_topology, Paradigm};
-pub use precompute::QuantizedFeatures;
 pub use propagation::PropagatedFeatures;

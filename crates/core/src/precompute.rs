@@ -36,10 +36,9 @@
 //! `AMUD_THREADS ∈ {1, 4}`.
 
 use crate::propagation::PropagatedFeatures;
-use amud_cache::{fingerprint_csr, fingerprint_dense, fingerprint_qdense, Fnv1a, SharedStore};
+use amud_cache::{fingerprint_csr, fingerprint_dense, SharedStore};
 use amud_graph::{CsrMatrix, DirectedPattern, PatternSet};
 use amud_nn::DenseMatrix;
-use amud_quant::{Precision, QMatrix};
 use amud_train::TrainError;
 use std::sync::{Arc, OnceLock};
 
@@ -50,11 +49,6 @@ const NORM_CAP: usize = 24;
 /// Propagated tensors: the dominant memory cost, still a handful per
 /// graph (one per distinct post-selection operator list × feature matrix).
 const FEAT_CAP: usize = 32;
-/// Quantized propagated tensors: each entry is 2–4× smaller than its f32
-/// source, so the same RAM budget holds more of them — this is the
-/// "cache reach" the quantized layer buys.
-const QFEAT_CAP: usize = 64;
-
 /// Identity of a normalised, selection-resolved DP operator set — the
 /// cache key propagated features are stored under.
 ///
@@ -106,93 +100,6 @@ fn norm_store() -> &'static SharedStore<(u64, usize, u32), Arc<PatternSet>> {
 fn feat_store() -> &'static SharedStore<(OpSetKey, u64), PropagatedFeatures> {
     static STORE: OnceLock<SharedStore<(OpSetKey, u64), PropagatedFeatures>> = OnceLock::new();
     STORE.get_or_init(|| SharedStore::new(FEAT_CAP))
-}
-
-/// Quantized-tensor store. The key extends the f32 feature key with the
-/// exact depth and the precision code: quantized entries are whole
-/// artifacts (no prefix views or in-place extension — requantizing from
-/// the f32 layer is cheaper than managing partial quantized state), and
-/// the precision code keeps a quantized tensor from ever colliding with
-/// its f32 source or a sibling precision.
-type QFeatKey = (OpSetKey, u64, usize, u32);
-
-fn qfeat_store() -> &'static SharedStore<QFeatKey, Arc<QuantizedFeatures>> {
-    static STORE: OnceLock<SharedStore<QFeatKey, Arc<QuantizedFeatures>>> = OnceLock::new();
-    STORE.get_or_init(|| SharedStore::new(QFEAT_CAP))
-}
-
-/// A [`PropagatedFeatures`] tensor quantized to one [`Precision`]:
-/// `X^(0)` plus every `(step, operator)` slice, each with its own
-/// per-tensor scale. The compact artifact `amud-serve` snapshots embed
-/// and `bench-quant` measures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedFeatures {
-    precision: Precision,
-    x0: QMatrix,
-    /// `steps[l-1][g]` = quantized propagation step `l` under operator `g`.
-    steps: Vec<Vec<QMatrix>>,
-}
-
-impl QuantizedFeatures {
-    /// Quantizes every tensor of `pf` (including `X^(0)`) to `precision`.
-    pub fn from_propagated(pf: &PropagatedFeatures, precision: Precision) -> Self {
-        let x0 = QMatrix::quantize(pf.x0(), precision);
-        let steps = (1..=pf.k_steps())
-            .map(|l| {
-                (0..pf.n_patterns()).map(|g| QMatrix::quantize(pf.step(l, g), precision)).collect()
-            })
-            .collect();
-        QuantizedFeatures { precision, x0, steps }
-    }
-
-    /// The precision every tensor in this artifact is stored at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Propagation depth `K`.
-    pub fn k_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Number of DP operators `G`.
-    pub fn n_patterns(&self) -> usize {
-        self.steps.first().map_or(0, Vec::len)
-    }
-
-    /// The quantized input features `X^(0)`.
-    pub fn x0(&self) -> &QMatrix {
-        &self.x0
-    }
-
-    /// Quantized step `l ∈ [1, K]` under operator `g` (same indexing as
-    /// [`PropagatedFeatures::step`]).
-    pub fn step(&self, l: usize, g: usize) -> &QMatrix {
-        &self.steps[l - 1][g]
-    }
-
-    /// Total resident payload bytes across every stored tensor.
-    pub fn n_bytes(&self) -> usize {
-        self.x0.n_bytes()
-            + self.steps.iter().flat_map(|row| row.iter().map(QMatrix::n_bytes)).sum::<usize>()
-    }
-
-    /// Content fingerprint of the whole artifact: precision, shape, and
-    /// every tensor's [`fingerprint_qdense`] — the identity `bench-quant`
-    /// compares across `AMUD_THREADS` to pin quantization determinism.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(u64::from(self.precision.code()));
-        h.write_u64(self.k_steps() as u64);
-        h.write_u64(self.n_patterns() as u64);
-        h.write_u64(fingerprint_qdense(&self.x0));
-        for row in &self.steps {
-            for q in row {
-                h.write_u64(fingerprint_qdense(q));
-            }
-        }
-        h.finish()
-    }
 }
 
 /// The normalised DP operator set for `(adj, max_order, conv_r)`, served
@@ -282,41 +189,6 @@ pub fn propagated(
     }
 }
 
-/// Quantized K-step propagated features for
-/// `(key, x, k_steps, precision)`: served from the quantized store when
-/// an identical request (same operator-set identity, same feature
-/// content, same depth, same precision) was seen before; a miss runs the
-/// f32 [`propagated`] pipeline (which has its own cache layers and
-/// counters) and quantizes its output. With the cache disabled this is
-/// exactly compute-then-quantize.
-///
-/// The quantized layer records no counters of its own: a miss surfaces
-/// through the underlying f32 layer's hit/miss/extend counters, and a
-/// quantized hit touches no store the counters watch.
-pub fn propagated_quantized(
-    key: &OpSetKey,
-    patterns: &PatternSet,
-    x: &DenseMatrix,
-    k_steps: usize,
-    precision: Precision,
-) -> Result<Arc<QuantizedFeatures>, TrainError> {
-    if !amud_cache::enabled() {
-        let pf = PropagatedFeatures::compute(patterns, x, k_steps)?;
-        return Ok(Arc::new(QuantizedFeatures::from_propagated(&pf, precision)));
-    }
-    // KEY-EXEMPT(patterns): `key` fully determines the operator set — both
-    // come from the same `operators()` call (see the `propagated`
-    // contract), so keying on `patterns` again would be redundant.
-    let qfeat_key = (key.clone(), fingerprint_dense(x), k_steps, precision.code());
-    if let Some(cached) = qfeat_store().get(&qfeat_key) {
-        return Ok(cached);
-    }
-    let pf = propagated(key, patterns, x, k_steps)?;
-    let quantized = Arc::new(QuantizedFeatures::from_propagated(&pf, precision));
-    qfeat_store().insert(qfeat_key, Arc::clone(&quantized));
-    Ok(quantized)
-}
-
 /// Drops every cached artifact — the cold-start reset used by
 /// `bench-precompute` (and tests) to measure first-touch cost. Counters
 /// are *not* reset; readers attribute work via snapshot deltas.
@@ -324,7 +196,6 @@ pub fn clear() {
     raw_store().clear();
     norm_store().clear();
     feat_store().clear();
-    qfeat_store().clear();
 }
 
 #[cfg(test)]
@@ -447,67 +318,6 @@ mod tests {
         assert_eq!(first.selection, vec![0, 2, 3]);
         let second = first.with_selection(&[1, 2]);
         assert_eq!(second.selection, vec![2, 3], "indices compose through prior selection");
-    }
-
-    #[test]
-    fn quantized_requests_share_one_artifact_per_precision() {
-        amud_cache::with_cache(true, || {
-            clear();
-            let adj = toy_adj();
-            let x = toy_x();
-            let (set, key) = operators(&adj, 1, 0.0).unwrap();
-            let a = propagated_quantized(&key, &set, &x, 2, Precision::F16).unwrap();
-            let b = propagated_quantized(&key, &set, &x, 2, Precision::F16).unwrap();
-            assert!(Arc::ptr_eq(&a, &b), "second request must reuse the stored Arc");
-            // A sibling precision of the same request is a distinct entry…
-            let i8 = propagated_quantized(&key, &set, &x, 2, Precision::I8).unwrap();
-            assert!(!Arc::ptr_eq(&a, &i8));
-            assert_ne!(a.fingerprint(), i8.fingerprint());
-            // …and the artifact matches quantizing the f32 tensor directly.
-            let pf = propagated(&key, &set, &x, 2).unwrap();
-            assert_eq!(*a, QuantizedFeatures::from_propagated(&pf, Precision::F16));
-            assert_eq!(a.k_steps(), 2);
-            assert_eq!(a.n_patterns(), set.len());
-            assert!(a.n_bytes() < pf.n_floats() * 4, "f16 artifact must be smaller than f32");
-        });
-    }
-
-    #[test]
-    fn quantized_depths_key_separately() {
-        amud_cache::with_cache(true, || {
-            clear();
-            let adj = toy_adj();
-            let x = toy_x();
-            let (set, key) = operators(&adj, 1, 0.0).unwrap();
-            let deep = propagated_quantized(&key, &set, &x, 3, Precision::I8).unwrap();
-            let shallow = propagated_quantized(&key, &set, &x, 2, Precision::I8).unwrap();
-            assert_eq!(deep.k_steps(), 3);
-            assert_eq!(shallow.k_steps(), 2);
-            // Shared prefix content: step tensors agree where depths overlap.
-            for l in 1..=2 {
-                for g in 0..set.len() {
-                    assert_eq!(deep.step(l, g), shallow.step(l, g), "l={l} g={g}");
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn quantized_disabled_cache_bypasses_stores() {
-        amud_cache::with_cache(false, || {
-            clear();
-            let adj = toy_adj();
-            let x = toy_x();
-            let before = amud_cache::stats();
-            let (set, key) = operators(&adj, 1, 0.0).unwrap();
-            let q = propagated_quantized(&key, &set, &x, 2, Precision::F16).unwrap();
-            let d = amud_cache::stats().delta(&before);
-            assert_eq!(d.total(), 0, "disabled cache must not touch counters");
-            // Bypass still produces the exact artifact the cached path does.
-            let again = propagated_quantized(&key, &set, &x, 2, Precision::F16).unwrap();
-            assert_eq!(*q, *again);
-            assert!(!Arc::ptr_eq(&q, &again), "disabled cache must not share state");
-        });
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn gate_float(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
 }
 
 /// The cache layer, plus amud-quant: quantization parameters (scales,
-/// precision codes) feed cache keys and fingerprints, so every
+/// precision codes) are part of a stored tensor's identity, so every
 /// key-adjacent fn param there must flow or be KEY-EXEMPT-annotated.
 fn gate_cache_key(path: &str, ix: &FileIndex, out: &mut Vec<Violation>) {
     if path.starts_with("crates/cache/src/")

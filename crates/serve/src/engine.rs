@@ -17,7 +17,7 @@
 //! runs serially (request batches are small next to training workloads).
 //!
 //! **Quantized snapshots** stay stored quantized: row gathers decode only
-//! the requested f16/int8 feature rows ([`QMatrix::decode_row_into`]),
+//! the requested int8 feature rows ([`QMatrix::decode_row_into`]),
 //! and each dense layer goes through [`amud_quant::matmul_deq`], which
 //! decodes a quantized weight once per `linear` call into a temporary
 //! f32 matrix and runs the f32 `matmul` on it. Because the decode is a
@@ -479,16 +479,16 @@ mod tests {
     #[test]
     fn quantized_engine_matches_dequantized_f32_engine_bit_for_bit() {
         use amud_quant::{Precision, QuantSpec};
-        // The fused-dequant inference path must equal decode-then-serve
-        // exactly: build one engine on the quantized snapshot and one on
+        // The decode-then-matmul inference path must equal serving the
+        // decoded export exactly: build one engine on the quantized snapshot and one on
         // its f32 expansion, and compare logits bitwise — per variant and
         // per precision, across batch shapes.
         for variant in 0..5u32 {
             let base = synthetic_snapshot(31 + u64::from(variant), 14, 6, 3, 2, 8, variant);
             for spec in [
-                QuantSpec::uniform(Precision::F16),
                 QuantSpec::uniform(Precision::I8),
-                QuantSpec { features: Precision::F16, weights: Precision::I8 },
+                QuantSpec { features: Precision::I8, weights: Precision::F32 },
+                QuantSpec { features: Precision::F32, weights: Precision::I8 },
             ] {
                 let q = base.requantized(spec);
                 let f32_twin = Snapshot {

@@ -30,13 +30,15 @@
 //!
 //! **Version 2** (quantized sections): every weight/feature matrix is
 //! written as `precision u32 · rows u32 · cols u32 · payload`, where the
-//! payload is raw f32 little-endian words (precision 0), binary16 bit
-//! patterns (precision 1), or one f32 scale followed by raw int8 bytes
-//! (precision 2). Biases are always f32. **Version 1** had no precision
-//! prefix (all matrices f32); v1 files decode into the same
-//! [`Snapshot`] with every matrix wrapped at f32, so pre-quantization
-//! artifacts keep working. Writers always emit v2. Seals and framing are
-//! identical across both versions.
+//! payload is raw f32 little-endian words (precision 0) or one f32 scale
+//! followed by raw int8 bytes (precision 2). Biases are always f32.
+//! Precision code 1 is reserved: it was binary16, which is retired, and
+//! is never reused. A matrix carrying it fails decode as
+//! [`SnapshotError::Malformed`] with a message asking for an int8
+//! re-export. **Version 1** had no precision prefix (all matrices f32);
+//! v1 files decode into the same [`Snapshot`] with every matrix wrapped
+//! at f32, so pre-quantization artifacts keep working. Writers always
+//! emit v2. Seals and framing are identical across both versions.
 
 use crate::error::SnapshotError;
 use amud_cache::{fingerprint_bytes, Fnv1a};
@@ -116,11 +118,6 @@ fn put_qmatrix(out: &mut Vec<u8>, m: &QMatrix) {
         QMatrix::F32(d) => {
             for &v in d.as_slice() {
                 out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        QMatrix::F16 { bits, .. } => {
-            for &b in bits {
-                out.extend_from_slice(&b.to_le_bytes());
             }
         }
         QMatrix::I8 { scale, q, .. } => {
@@ -312,21 +309,17 @@ impl<'a> Reader<'a> {
         }
         let code = self.u32()?;
         let precision = Precision::from_code(code).ok_or_else(|| SnapshotError::Malformed {
-            what: format!("unknown precision code {code} in {}", self.section),
+            what: if code == 1 {
+                format!(
+                    "precision code 1 (f16) in {} is retired; re-export with --quantize int8",
+                    self.section
+                )
+            } else {
+                format!("unknown precision code {code} in {}", self.section)
+            },
         })?;
         match precision {
             Precision::F32 => self.matrix().map(QMatrix::F32),
-            Precision::F16 => {
-                let (rows, cols, n, bytes) = self.shape(2)?;
-                let raw = self.take(bytes)?;
-                let mut bits = Vec::with_capacity(n);
-                for chunk in raw.chunks_exact(2) {
-                    bits.push(u16::from_le_bytes([chunk[0], chunk[1]]));
-                }
-                QMatrix::try_f16(rows, cols, bits).ok_or_else(|| SnapshotError::Malformed {
-                    what: format!("invalid f16 matrix shape in {}", self.section),
-                })
-            }
             Precision::I8 => {
                 let (rows, cols, n, bytes) = self.shape(1)?;
                 let scale = self.f32()?;
@@ -646,9 +639,9 @@ mod tests {
     fn quantized_snapshots_round_trip_by_precision() {
         let base = synthetic_snapshot(21, 10, 4, 3, 2, 8, 0);
         for spec in [
-            QuantSpec::uniform(Precision::F16),
             QuantSpec::uniform(Precision::I8),
-            QuantSpec { features: Precision::I8, weights: Precision::F16 },
+            QuantSpec { features: Precision::I8, weights: Precision::F32 },
+            QuantSpec { features: Precision::F32, weights: Precision::I8 },
         ] {
             let q = base.requantized(spec);
             assert_eq!(q.export.spec(), spec);
@@ -662,11 +655,8 @@ mod tests {
     fn quantized_snapshots_shrink_on_the_wire() {
         let base = synthetic_snapshot(22, 32, 16, 3, 3, 8, 0);
         let f32_len = encode_snapshot(&base).len();
-        let f16_len = encode_snapshot(&base.requantized(QuantSpec::uniform(Precision::F16))).len();
         let i8_len = encode_snapshot(&base.requantized(QuantSpec::uniform(Precision::I8))).len();
-        let f16_ratio = f32_len as f64 / f16_len as f64;
         let i8_ratio = f32_len as f64 / i8_len as f64;
-        assert!(f16_ratio >= 1.7, "f16 file ratio {f16_ratio:.2} < 1.7");
         assert!(i8_ratio >= 3.0, "int8 file ratio {i8_ratio:.2} < 3.0");
     }
 
@@ -693,6 +683,23 @@ mod tests {
                 assert!(what.contains("scale"), "{what}");
             }
             other => panic!("expected malformed scale, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_f16_precision_code_is_rejected() {
+        // Code 1 was binary16: a 1×1 matrix with one 2-byte payload.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 1);
+        put_u32(&mut payload, 1);
+        put_u32(&mut payload, 1);
+        payload.extend_from_slice(&0x3c00u16.to_le_bytes());
+        let mut r = Reader::new(&payload, "WEIGHTS");
+        match r.qmatrix(false) {
+            Err(SnapshotError::Malformed { what }) => {
+                assert!(what.contains("f16") && what.contains("int8"), "{what}");
+            }
+            other => panic!("expected malformed retired precision, got {other:?}"),
         }
     }
 

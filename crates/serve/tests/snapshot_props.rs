@@ -10,11 +10,11 @@ use amud_serve::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
 use amud_serve::synthetic::synthetic_snapshot;
 use proptest::prelude::*;
 
-/// A mixed-precision (int8 features, f16 weights) snapshot — every
-/// quantized payload layout in the v2 format at once.
+/// A mixed-precision (int8 features, f32 weights) snapshot — every
+/// payload layout in the v2 format at once.
 fn quantized_fixture(seed: u64) -> Snapshot {
     synthetic_snapshot(seed, 6, 3, 2, 2, 4, 0)
-        .requantized(QuantSpec { features: Precision::I8, weights: Precision::F16 })
+        .requantized(QuantSpec { features: Precision::I8, weights: Precision::F32 })
 }
 
 proptest! {
@@ -46,13 +46,13 @@ proptest! {
         seed in 0u64..1_000,
         n_nodes in 1usize..10,
         k_steps in 1usize..4,
-        precision in 0usize..3,
     ) {
-        let p = Precision::from_code(precision as u32).unwrap();
-        let s = synthetic_snapshot(seed, n_nodes, 3, 2, k_steps, 4, 0)
-            .requantized(QuantSpec::uniform(p));
-        let decoded = decode_snapshot(&encode_snapshot(&s)).expect("clean bytes must decode");
-        prop_assert_eq!(decoded, s);
+        for p in [Precision::F32, Precision::I8] {
+            let s = synthetic_snapshot(seed, n_nodes, 3, 2, k_steps, 4, 0)
+                .requantized(QuantSpec::uniform(p));
+            let decoded = decode_snapshot(&encode_snapshot(&s)).expect("clean bytes must decode");
+            prop_assert_eq!(decoded, s);
+        }
     }
     #[test]
     fn any_byte_mutation_roundtrips_or_is_rejected(

@@ -255,7 +255,7 @@ fn cmd_snapshot(dataset: &str, flags: &Flags) {
         amud_repro::quant::QuantSpec::parse(spec).unwrap_or_else(|| {
             die(
                 &format!(
-                    "--quantize: unknown precision '{spec}' (want f32, f16, or int8, optionally features:weights)"
+                    "--quantize: unknown precision '{spec}' (want f32 or int8, optionally features:weights)"
                 ),
                 2,
             )
@@ -348,7 +348,7 @@ fn main() {
     match raw.first().map(String::as_str) {
         Some("snapshot") => {
             let Some(dataset) = raw.get(1).filter(|d| !d.starts_with("--")) else {
-                die("usage: amud snapshot <dataset> --out <file.snap> [--tag N] [--quantize f16|int8|f:w]", 2);
+                die("usage: amud snapshot <dataset> --out <file.snap> [--tag N] [--quantize int8|f:w]", 2);
             };
             let flags = Flags::parse(&raw[2..], &["out", "tag", "quantize"]);
             cmd_snapshot(dataset, &flags);

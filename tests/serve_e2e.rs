@@ -321,14 +321,14 @@ fn snapshot_cli_trains_and_the_artifact_serves_predictions() {
 
 /// Quantized-artifact e2e (run by `ci.sh` via the `ci_smoke` filter):
 /// requantize the synthetic snapshot to the mixed int8-features /
-/// f16-weights spec, serve it from disk through a real subprocess, and pin
+/// f32-weights spec, serve it from disk through a real subprocess, and pin
 /// every wire reply to the in-process `Engine` on the same artifact.
 #[test]
 fn ci_smoke_quantized_snapshot_serves() {
     use amud_repro::quant::QuantSpec;
     use amud_repro::serve::{read_snapshot, Engine};
 
-    let spec = QuantSpec::parse("int8:f16").expect("spec");
+    let spec = QuantSpec::parse("int8:f32").expect("spec");
     let snap = synthetic_snapshot(13, 20, 4, 2, 2, 8, 0).requantized(spec);
     let path = scratch("ci-smoke-quant.snap");
     write_snapshot(&path, &snap).expect("write quantized snapshot");
