@@ -103,6 +103,14 @@ AMUD_THREADS=4 cargo test -q
 echo "==> AMUD_THREADS=4 cargo test -q --workspace --features amud-par/san"
 AMUD_THREADS=4 cargo test -q --workspace --features amud-par/san
 
+# Row-local training must stay the full-graph loop bit for bit. perfbench's
+# traced run trains through its own copy of the full-graph loop, checks the
+# test accuracies against its untraced `train()` runs, and exits non-zero
+# on any mismatch.
+echo "==> perfbench train-chameleon-k5 --trace 1 (row-local == full-graph)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload train-chameleon-k5 --seed 1 --seconds 5 --trace 1
+
 # The fault-injection suite proves every injected failure is recovered or
 # surfaces as a typed error (and pins the CLI exit-code table).
 echo "==> cargo test -q --test fault_injection"

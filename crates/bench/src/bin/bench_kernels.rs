@@ -166,7 +166,7 @@ fn main() {
     // makes `--check` trustworthy, and the smoke shapes are cheap.
     let reps = 5;
     // (nodes, features, hidden): tiny replica, default replica cap, and a
-    // full-scale shape whose k-extent crosses TRANSA_BLOCK_ROWS.
+    // full-scale shape whose k-extent is above 2048 rows.
     let dense_shapes: &[(usize, usize, usize)] = if smoke {
         &[(256, 64, 32), (1200, 128, 64)]
     } else {

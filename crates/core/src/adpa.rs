@@ -20,6 +20,12 @@
 //!    "w/o Hop attention" row).
 //! 4. An MLP classifier head.
 //!
+//! After step 1 every op is node-wise, so [`Model::forward_rows`] records
+//! the forward for a row subset only: it gathers those rows of the
+//! operator features and of `W_DP`, and draws each dropout mask at the
+//! full shape before gathering it. The trainer runs it over the `train`
+//! rows and the `val ∪ test` rows, bit-identical to the full forward.
+//!
 //! Optionally, ADPA applies the Sec. IV-B **DP selection** rule: operators
 //! are ranked by their label correlation `r(G_d, N)` on the *training*
 //! labels and only the top `r` are kept.
@@ -27,9 +33,7 @@
 use crate::amud::rank_patterns;
 use crate::propagation::PropagatedFeatures;
 use amud_graph::PatternSet;
-use amud_nn::{
-    linear::dropout_mask, Activation, DenseMatrix, Linear, Mlp, NodeId, ParamBank, ParamId, Tape,
-};
+use amud_nn::{Activation, DenseMatrix, Linear, Mlp, NodeId, ParamBank, ParamId, Rows, Tape};
 use amud_train::{GraphData, Model, TrainError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -221,18 +225,26 @@ impl Adpa {
         &self.cfg
     }
 
-    /// Records the Eq. 10 fusion for step `l`, returning the `n × hidden`
-    /// representation.
-    fn fuse_step(&self, tape: &mut Tape, l: usize, training: bool, rng: &mut StdRng) -> NodeId {
+    /// Records the Eq. 10 fusion for step `l` over `rows`, returning the
+    /// `rows.len() × hidden` representation.
+    fn fuse_step(
+        &self,
+        tape: &mut Tape,
+        l: usize,
+        rows: &Rows,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> NodeId {
         let op_feats = self.propagated.step_with_residual(l);
-        let inputs: Vec<NodeId> = op_feats.iter().map(|m| tape.constant((*m).clone())).collect();
+        let inputs: Vec<NodeId> = op_feats.iter().map(|m| tape.constant(rows.gather(m))).collect();
 
         let fused_input = match self.cfg.dp_attention {
             DpAttention::Original => {
                 let Some(w_dp) = self.w_dp else {
                     unreachable!("Adpa::new allocates W_DP whenever dp_attention is Original")
                 };
-                let w = tape.param(&self.bank, w_dp);
+                let w_all = tape.param(&self.bank, w_dp);
+                let w = tape.gather_rows(w_all, rows);
                 let weighted: Vec<NodeId> =
                     inputs.iter().enumerate().map(|(j, &x)| tape.col_scale(w, j, x)).collect();
                 tape.concat_cols(&weighted)
@@ -277,8 +289,7 @@ impl Adpa {
 
         let mut h = fused_input;
         if training && self.cfg.dropout > 0.0 {
-            let (r, c) = tape.value(h).shape();
-            let mask = dropout_mask(rng, r, c, self.cfg.dropout);
+            let mask = rows.dropout_mask(rng, tape.value(h).cols(), self.cfg.dropout);
             h = tape.dropout(h, mask);
         }
         let lin = self.fuse.forward(tape, &self.bank, h);
@@ -298,13 +309,25 @@ impl Model for Adpa {
     fn forward(
         &self,
         tape: &mut Tape,
+        data: &GraphData,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> NodeId {
+        let rows = Rows::all(self.propagated.x0().rows());
+        self.forward_rows(tape, data, &rows, training, rng)
+    }
+
+    fn forward_rows(
+        &self,
+        tape: &mut Tape,
         _data: &GraphData,
+        rows: &Rows,
         training: bool,
         rng: &mut StdRng,
     ) -> NodeId {
         // Level 1: DP attention per step (Eq. 10).
         let step_reprs: Vec<NodeId> =
-            (1..=self.cfg.k_steps).map(|l| self.fuse_step(tape, l, training, rng)).collect();
+            (1..=self.cfg.k_steps).map(|l| self.fuse_step(tape, l, rows, training, rng)).collect();
 
         // Level 2: hop attention across steps (Eq. 11).
         let fused = if let Some(hop) = &self.hop_scorer {
@@ -329,7 +352,7 @@ impl Model for Adpa {
         };
 
         // Classifier head.
-        self.classifier.forward(tape, &self.bank, fused, training, rng)
+        self.classifier.forward_rows(tape, &self.bank, fused, rows, training, rng)
     }
 
     fn name(&self) -> &'static str {

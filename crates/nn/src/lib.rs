@@ -38,11 +38,13 @@ pub mod complex;
 pub mod linear;
 pub mod matrix;
 pub mod optim;
+pub mod rows;
 pub mod tape;
 pub mod verify;
 
 pub use linear::{Activation, Linear, Mlp};
 pub use matrix::DenseMatrix;
 pub use optim::{Adam, Param, ParamBank, ParamId};
+pub use rows::Rows;
 pub use tape::{NodeId, SparseOp, Tape};
 pub use verify::{Diagnostic, GraphSpec, Rule, Severity, TapeVerifier};

@@ -22,13 +22,15 @@
 //!   was a single serial FP dependency chain the hardware could not
 //!   pipeline. The lane order is a pure function of the k-extent, so it
 //!   is still identical across thread counts.
-//! * `matmul_transa` (the gradient path) scatters along its `k` loop, so
-//!   it is computed as per-block partial products over a **fixed** k-block
-//!   structure ([`TRANSA_BLOCK_ROWS`] rows per block, independent of the
-//!   thread count) folded in ascending block order; inside a block the
-//!   scatter is the same 4-way `lane_axpy4` as `matmul`, ascending `k`
-//!   per element — deterministic at any thread count, and bit-identical
-//!   to the legacy serial kernel.
+//! * `matmul_transa` (the gradient path) reduces over the shared row
+//!   extent `k`. Each output element is one ascending-k pass — the same
+//!   4-way `lane_axpy4` scatter as `matmul`, one `+= a·b` per term — and
+//!   the work is split over *output* rows, so no element's sum is ever
+//!   cut into partials. The result is the legacy serial kernel bit for
+//!   bit at every k-extent and thread count, and it does not change when
+//!   all-zero rows of `other` are dropped (each would add an exact `±0`
+//!   to a `+0`-started sum), which is what lets row-local training
+//!   reproduce the full-graph weight gradients.
 //! * the elementwise helpers (`map`, `par_zip_assign`, `par_rows_mut`)
 //!   split on fixed element/row boundaries; per-element work is
 //!   order-free, so they are bit-identical to serial.
@@ -56,15 +58,6 @@ const PAR_MIN_FLOPS_PER_PART: usize = 1 << 15;
 /// fanning out is correspondingly higher (256k elements ≈ 1 MiB per
 /// part). This is what keeps a 1200×128 softmax on the serial path.
 const PAR_MIN_STREAM_ELEMS_PER_PART: usize = 1 << 18;
-/// Fixed k-extent of one `matmul_transa` reduction block. Chosen above the
-/// default replica node cap (1200) so every tier-1 training shape stays in
-/// the single-block regime and reproduces the legacy serial kernel bit for
-/// bit; large (full-scale) shapes split into at most [`TRANSA_MAX_BLOCKS`]
-/// blocks regardless of thread count.
-const TRANSA_BLOCK_ROWS: usize = 2048;
-/// Cap on `matmul_transa` partial buffers (bounds scratch memory).
-const TRANSA_MAX_BLOCKS: usize = 64;
-
 /// Part count for `work` total units under a `min_per_part` granularity
 /// floor: as many parts as the thread budget allows while keeping every
 /// part at or above the floor. Purely (shape, budget)-driven.
@@ -372,13 +365,14 @@ impl DenseMatrix {
 
     /// `selfᵀ · other` — accumulates rank-1 updates row by row.
     ///
-    /// The scatter runs over a *fixed* k-block structure: `self.rows` is cut
-    /// into `ceil(rows / TRANSA_BLOCK_ROWS)` blocks (capped at
-    /// [`TRANSA_MAX_BLOCKS`]) that depend only on the shape, each block's
-    /// partial product is computed independently (in parallel), and the
-    /// partials are folded in ascending block order on one thread. One
-    /// block ⇒ the fold degenerates to the legacy serial kernel, which is
-    /// the case for every default-scale dataset (k ≤ 1200 < 2048).
+    /// One ascending-k pass per output element, parallel over output rows
+    /// (the columns of `self`): each part streams every k and scatters into
+    /// its own output rows only. Like `matmul`, the k loop is blocked by 4
+    /// over [`lanes::lane_axpy4`] with an all-zero-weight block skip; per
+    /// output element the terms still arrive in ascending `k` order, one
+    /// `+= a·b` each, so the result is the legacy serial scatter bit for
+    /// bit at any thread count (the ±0.0-skip argument from `matmul`
+    /// applies verbatim — every output starts at `+0.0`).
     pub fn matmul_transa(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.rows, other.rows, "matmul_transa: inner dimensions differ");
         debug_assert!(
@@ -386,61 +380,32 @@ impl DenseMatrix {
             "matmul_transa: non-finite operand entry"
         );
         let mut out = DenseMatrix::zeros(self.cols, other.cols);
-        let out_len = out.data.len();
-        // Block count is a pure function of the k-extent — never of the
-        // thread count — so the summation tree is the same everywhere.
-        let n_blocks = if self.rows == 0 {
-            1
-        } else {
-            self.rows.div_ceil(TRANSA_BLOCK_ROWS).min(TRANSA_MAX_BLOCKS)
-        };
-        if n_blocks == 1 || out_len == 0 {
-            Self::transa_block(self, other, 0..self.rows, &mut out.data);
+        if other.cols == 0 {
             return out;
         }
-        let k_ranges = amud_par::split_even(self.rows, n_blocks);
-        // DISJOINT: singleton ranges b..b+1 tile 0..n_blocks in ascending
-        // order without overlap; each block owns one partial buffer.
-        let block_parts: Vec<Range<usize>> = (0..n_blocks).map(|b| b..b + 1).collect();
-        let mut partials = vec![0.0f32; n_blocks * out_len];
-        // split_even returns exactly n_blocks
-        // ranges and b < n_blocks; partials holds n_blocks · out_len ≥
-        // out_len elements (n_blocks ≥ 1 — the rows == 0 case returned).
-        amud_par::par_row_blocks_mut(&mut partials, out_len, &block_parts, |b, _, partial| {
-            Self::transa_block(self, other, k_ranges[b].clone(), partial);
+        let parts = output_row_parts(self.cols, self.rows * other.cols);
+        amud_par::par_row_blocks_mut(&mut out.data, other.cols, &parts, |_, rows, block| {
+            Self::transa_rows(self, other, rows, block);
         });
-        // Ascending-order fold; block 0 is copied (not added to the zero
-        // buffer) so signed zeros survive exactly as the block produced them.
-        out.data.copy_from_slice(&partials[..out_len]);
-        for partial in partials.chunks_exact(out_len).skip(1) {
-            for (o, &p) in out.data.iter_mut().zip(partial) {
-                *o += p;
-            }
-        }
         out
     }
 
-    /// One k-block of the `selfᵀ · other` scatter restricted to `ks`,
-    /// accumulating into `acc` (length `cols·other.cols`).
-    ///
-    /// Like `matmul`, the loop is k-blocked by 4 over [`lanes::lane_axpy4`]
-    /// with an all-zero-weight block skip; per output element the terms
-    /// still arrive in ascending `k` order, one fused `+= a·b` each, so
-    /// this is bit-identical to the legacy serial scatter (the ±0.0-skip
-    /// argument from `matmul` applies verbatim — `acc` starts at `+0.0`).
-    fn transa_block(a: &DenseMatrix, b: &DenseMatrix, ks: Range<usize>, acc: &mut [f32]) {
-        if a.cols == 0 || b.cols == 0 {
-            return;
-        }
-        let len = ks.end - ks.start;
-        let main = len - len % 4;
-        for kb in 0..main / 4 {
-            let k = ks.start + kb * 4;
-            let (a0, a1, a2, a3) = (a.row(k), a.row(k + 1), a.row(k + 2), a.row(k + 3));
+    /// Output rows `rows` of `aᵀ · b` into `out` (`rows.len() · b.cols`
+    /// floats): the full ascending-k scatter, restricted to those rows.
+    fn transa_rows(a: &DenseMatrix, b: &DenseMatrix, rows: Range<usize>, out: &mut [f32]) {
+        let k_main = a.rows - a.rows % 4;
+        for kb in 0..k_main / 4 {
+            let k = kb * 4;
+            // Output row i of `out` is column `rows.start + i` of a, so the
+            // weight windows start at rows.start.
+            let (a0, a1, a2, a3) = (
+                &a.row(k)[rows.clone()],
+                &a.row(k + 1)[rows.clone()],
+                &a.row(k + 2)[rows.clone()],
+                &a.row(k + 3)[rows.clone()],
+            );
             let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
-            // acc.len() == a.cols · b.cols, so
-            // chunks_exact(b.cols) yields i < a.cols — the row length of a.
-            for (i, out_row) in acc.chunks_exact_mut(b.cols).enumerate() {
+            for (i, out_row) in out.chunks_exact_mut(b.cols).enumerate() {
                 let w = [a0[i], a1[i], a2[i], a3[i]];
                 if w == [0.0; 4] {
                     continue;
@@ -448,13 +413,10 @@ impl DenseMatrix {
                 lanes::lane_axpy4(out_row, w, b0, b1, b2, b3);
             }
         }
-        for k in ks.start + main..ks.end {
-            let a_row = a.row(k);
+        for k in k_main..a.rows {
+            let a_row = &a.row(k)[rows.clone()];
             let b_row = b.row(k);
-            // acc.len() == a.cols · b.cols, so
-            // chunks_exact(b.cols) yields i < a.cols — the row length of a.
-            for (i, out_row) in acc.chunks_exact_mut(b.cols).enumerate() {
-                let av = a_row[i];
+            for (out_row, &av) in out.chunks_exact_mut(b.cols).zip(a_row) {
                 if av == 0.0 {
                     continue;
                 }

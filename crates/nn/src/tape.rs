@@ -16,11 +16,14 @@
 //! * [`Tape::scalar_scale`] — a single learnable scalar (one entry of a
 //!   parameter vector) scaling a matrix, the primitive behind GPR-style
 //!   learnable propagation weights;
+//! * [`Tape::gather_rows`] — a sorted row subset ([`Rows`]), the primitive
+//!   behind row-local training of node-wise models;
 //! * [`Tape::masked_cross_entropy`] — softmax cross-entropy restricted to
 //!   the labelled training nodes (semi-supervised objective).
 
 use crate::matrix::DenseMatrix;
 use crate::optim::{ParamBank, ParamId};
+use crate::rows::Rows;
 use amud_graph::CsrMatrix;
 use std::rc::Rc;
 
@@ -104,6 +107,11 @@ enum Op {
         start: usize,
         end: usize,
     },
+    /// The rows `rows.ids()` of `x`, ascending.
+    GatherRows {
+        x: NodeId,
+        rows: Rows,
+    },
     /// Softmax across columns, independently per row.
     RowSoftmax(NodeId),
     /// Mean of all entries (scalar output).
@@ -176,8 +184,10 @@ impl Tape {
         &self.nodes[id].value
     }
 
-    /// The gradient of a node (zero matrix if it never received one).
-    /// Only meaningful after [`Tape::backward`].
+    /// The gradient of a leaf (zero matrix if it never received one).
+    /// Only meaningful after [`Tape::backward`], which keeps leaf
+    /// gradients only: an interior node's is freed once propagated, and
+    /// this returns zeros for it.
     pub fn grad(&self, id: NodeId) -> DenseMatrix {
         let n = &self.nodes[id];
         n.grad.clone().unwrap_or_else(|| DenseMatrix::zeros(n.value.rows(), n.value.cols()))
@@ -365,6 +375,21 @@ impl Tape {
         self.push(value, Op::SliceCols { x, start, end }, needs)
     }
 
+    /// The rows `rows.ids()` of `x` (which must have `rows.n()` rows), in
+    /// ascending order. The backward pass scatters the gradient back to
+    /// those rows; every other row of `x` receives zero. When `rows` is
+    /// every row this returns `x` itself and records nothing.
+    pub fn gather_rows(&mut self, x: NodeId, rows: &Rows) -> NodeId {
+        let xv = &self.nodes[x].value;
+        assert_eq!(xv.rows(), rows.n(), "gather_rows: x rows != row universe");
+        if rows.is_all() {
+            return x;
+        }
+        let value = rows.gather(xv);
+        let needs = self.needs(x);
+        self.push(value, Op::GatherRows { x, rows: rows.clone() }, needs)
+    }
+
     /// Softmax across columns per row.
     pub fn row_softmax(&mut self, x: NodeId) -> NodeId {
         let xv = &self.nodes[x].value;
@@ -481,7 +506,9 @@ impl Tape {
     }
 
     /// Runs the backward pass from `root` (which must be `1 × 1`), filling
-    /// gradients for every node that (transitively) depends on a parameter.
+    /// the gradient of every parameter leaf that feeds it. Interior
+    /// gradients live only until they are propagated, so the pass holds
+    /// few of them at once.
     pub fn backward(&mut self, root: NodeId) {
         {
             let rv = &self.nodes[root].value;
@@ -494,7 +521,9 @@ impl Tape {
             }
             let Some(grad) = self.nodes[id].grad.take() else { continue };
             self.propagate(id, &grad);
-            self.nodes[id].grad = Some(grad);
+            if matches!(self.nodes[id].op, Op::Leaf { .. }) {
+                self.nodes[id].grad = Some(grad);
+            }
         }
     }
 
@@ -660,6 +689,10 @@ impl Tape {
                 }
                 self.accumulate(x, dx);
             }
+            Op::GatherRows { x, rows } => {
+                let x = *x;
+                self.accumulate(x, rows.scatter(grad));
+            }
             Op::RowSoftmax(x) => {
                 let x = *x;
                 let y = &self.nodes[id].value;
@@ -778,6 +811,9 @@ impl Tape {
                     Op::ConcatCols(parts) => (OpKind::ConcatCols, parts.clone(), None),
                     Op::SliceCols { x, start, end } => {
                         (OpKind::SliceCols { start: *start, end: *end }, vec![*x], None)
+                    }
+                    Op::GatherRows { x, rows } => {
+                        (OpKind::GatherRows { n: rows.n(), len: rows.len() }, vec![*x], None)
                     }
                     Op::RowSoftmax(x) => (OpKind::RowSoftmax, vec![*x], None),
                     Op::MeanAll(x) => (OpKind::MeanAll, vec![*x], None),
@@ -1003,6 +1039,35 @@ mod tests {
     }
 
     #[test]
+    fn gather_rows_gradient_matches_finite_differences() {
+        let mut bank = ParamBank::new();
+        let pid = seeded_param(&mut bank, 5, 3, 11);
+        let w = DenseMatrix::from_fn(3, 2, |r, c| 0.3 * (r as f32 - c as f32) + 0.1);
+        let rows = Rows::new(5, [4, 0, 2]);
+        grad_check(&mut bank, pid, |bank| {
+            run_loss(bank, pid, |tape, p| {
+                let g = tape.gather_rows(p, &rows);
+                let wn = tape.constant(w.clone());
+                let y = tape.matmul(g, wn);
+                tape.tanh(y)
+            })
+        });
+        // Rows outside the subset get exactly zero gradient.
+        let (_, grad) = run_loss(&bank, pid, |tape, p| tape.gather_rows(p, &rows));
+        assert_eq!(grad.row(1), &[0.0; 3]);
+        assert_eq!(grad.row(3), &[0.0; 3]);
+        assert!(grad.row(4).iter().all(|&g| g > 0.0));
+    }
+
+    #[test]
+    fn gather_rows_of_every_row_records_nothing() {
+        let mut tape = Tape::new();
+        let x = tape.constant(DenseMatrix::ones(3, 2));
+        assert_eq!(tape.gather_rows(x, &Rows::all(3)), x);
+        assert_eq!(tape.len(), 1);
+    }
+
+    #[test]
     fn row_softmax_gradient() {
         let mut bank = ParamBank::new();
         let pid = seeded_param(&mut bank, 3, 4, 7);
@@ -1135,6 +1200,21 @@ mod tests {
         tape.backward(loss);
         assert_eq!(tape.grad(c1).sum(), 0.0);
         let _ = bank;
+    }
+
+    #[test]
+    fn backward_keeps_leaf_gradients_only() {
+        let mut bank = ParamBank::new();
+        let pid = bank.add(DenseMatrix::ones(2, 2));
+        let mut tape = Tape::new();
+        let p = tape.param(&bank, pid);
+        let h = tape.tanh(p);
+        let loss = tape.mean_all(h);
+        tape.backward(loss);
+        assert!(tape.nodes[h].grad.is_none());
+        assert!(tape.grad(p).sum() > 0.0);
+        tape.apply_grads(&mut bank);
+        assert_eq!(bank.grad(pid).as_slice(), tape.grad(p).as_slice());
     }
 
     #[test]

@@ -135,6 +135,8 @@ pub enum OpKind {
     ConcatCols,
     /// Columns `[start, end)` of `[x]`.
     SliceCols { start: usize, end: usize },
+    /// `len` of the `n` rows of `[x]`.
+    GatherRows { n: usize, len: usize },
     /// Per-row softmax of `[x]`.
     RowSoftmax,
     /// Mean over all entries of `[x]` — output is `1 × 1`.
@@ -514,6 +516,19 @@ impl TapeVerifier {
                     Some((x.0, end - start))
                 }
             }
+            OpKind::GatherRows { n, len } => {
+                if !arity(1) {
+                    fail(format!("gather_rows needs 1 operand, has {}", ins.len()));
+                    return;
+                }
+                let x = shape_of(ins[0]);
+                if x.0 != *n {
+                    fail(format!("gather_rows selects from {n} rows but x has {}", x.0));
+                    None
+                } else {
+                    Some((*len, x.1))
+                }
+            }
             OpKind::MeanAll => {
                 if !arity(1) {
                     fail(format!("mean_all needs 1 operand, has {}", ins.len()));
@@ -698,6 +713,26 @@ mod tests {
         };
         let diags = TapeVerifier::new().verify_spec(&spec, 2);
         assert_eq!(only_rule(&diags, Rule::DuplicateEdge).severity, Severity::Info);
+    }
+
+    #[test]
+    fn detects_gather_from_the_wrong_row_count() {
+        let spec = GraphSpec {
+            nodes: vec![
+                leaf(4, 3),
+                NodeSpec {
+                    op: OpKind::GatherRows { n: 5, len: 2 },
+                    inputs: vec![0],
+                    shape: (2, 3),
+                    param: None,
+                },
+                NodeSpec { op: OpKind::MeanAll, inputs: vec![1], shape: (1, 1), param: None },
+            ],
+        };
+        let diags = TapeVerifier::new().verify_spec(&spec, 2);
+        let d = only_rule(&diags, Rule::ShapeMismatch);
+        assert_eq!(d.op_id, 1);
+        assert!(d.message.contains("selects from 5 rows but x has 4"), "{}", d.message);
     }
 
     #[test]

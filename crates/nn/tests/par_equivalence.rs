@@ -6,7 +6,7 @@
 //! in-process override) and compare outputs *bitwise*, so even a sign-of-
 //! zero or last-ulp difference fails. Shapes straddle the serial-fallback
 //! thresholds, include degenerate single-row/single-column cases, and go
-//! past `TRANSA_BLOCK_ROWS` to exercise the multi-block reduction.
+//! past k = 2048 rows in the `matmul_transa` reduction.
 
 use amud_nn::{DenseMatrix, ParamBank, SparseOp, Tape};
 use proptest::prelude::*;
@@ -84,6 +84,36 @@ proptest! {
         let a = seeded(k, m, seed);
         let b = seeded(k, n, seed ^ 0xc2b2);
         assert_thread_invariant("matmul_transa", || a.matmul_transa(&b))?;
+    }
+
+    #[test]
+    fn transa_ignores_dropped_all_zero_rows_of_other(
+        dims in (1usize..64, 1usize..24, 1usize..24),
+        seed in 0u64..1_000_000,
+        keep_bits in 0u64..u64::MAX,
+    ) {
+        // Row-local training drops the rows whose gradient is all zero.
+        // In the full-extent sum those rows add exact ±0 terms to
+        // +0-started accumulators, so dropping them changes no bit.
+        let (k, m, n) = dims;
+        let a = seeded(k, m, seed);
+        let mut b = seeded(k, n, seed ^ 0x5bd1);
+        let keep: Vec<bool> = (0..k).map(|r| keep_bits >> (r % 64) & 1 == 1).collect();
+        for (r, &kept) in keep.iter().enumerate() {
+            if !kept {
+                for (c, v) in b.row_mut(r).iter_mut().enumerate() {
+                    *v = if c % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        let ids: Vec<usize> = (0..k).filter(|&r| keep[r]).collect();
+        let rows = amud_nn::Rows::new(k, ids);
+        let (a_kept, b_kept) = (rows.gather(&a), rows.gather(&b));
+        for &t in &THREAD_COUNTS {
+            let full = amud_par::with_threads(t, || a.matmul_transa(&b));
+            let kept = amud_par::with_threads(t, || a_kept.matmul_transa(&b_kept));
+            prop_assert_eq!(bits(&full), bits(&kept), "dropping zero rows moved bits at {} threads", t);
+        }
     }
 
     #[test]
@@ -178,19 +208,43 @@ proptest! {
     }
 }
 
-/// `TRANSA_BLOCK_ROWS` is 2048: a k-extent beyond it splits the gradient
-/// scatter into multiple fixed partial blocks. The fold order is block-
-/// ascending regardless of scheduling, so the result must still be
-/// bit-identical at every thread count.
+/// The serial ascending-k scatter `matmul_transa` must reproduce: per
+/// output element, one `+= a·b` per k in ascending order, skipping zero
+/// weights.
+fn transa_reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    let mut want = DenseMatrix::zeros(a.cols(), b.cols());
+    for kk in 0..a.rows() {
+        for i in 0..a.cols() {
+            let av = a.get(kk, i);
+            if av == 0.0 {
+                continue;
+            }
+            for j in 0..b.cols() {
+                let w = want.get(i, j) + av * b.get(kk, j);
+                want.set(i, j, w);
+            }
+        }
+    }
+    want
+}
+
+/// k-extents above 2048 (full-scale graphs) reduce in one ascending pass
+/// per output element like every other extent: bitwise equal to the
+/// serial reference at every thread count, with enough output rows that
+/// four threads each get a part.
 #[test]
-fn transa_multi_block_regime_is_thread_invariant() {
+fn transa_large_k_matches_the_serial_reference_at_every_thread_count() {
     let k = 2500;
-    let a = seeded(k, 5, 77);
-    let b = seeded(k, 4, 78);
-    let baseline = amud_par::with_threads(1, || a.matmul_transa(&b));
-    for &t in &THREAD_COUNTS[1..] {
+    let a = seeded(k, 24, 77);
+    let b = seeded(k, 8, 78);
+    let want = bits(&transa_reference(&a, &b));
+    for &t in &THREAD_COUNTS {
         let got = amud_par::with_threads(t, || a.matmul_transa(&b));
-        assert_eq!(bits(&baseline), bits(&got), "multi-block transa diverged at {t} threads");
+        assert_eq!(
+            bits(&got),
+            want,
+            "k={k} transa diverged from the serial reference at {t} threads"
+        );
     }
 }
 
@@ -262,24 +316,11 @@ fn lane_tail_shapes_match_the_canonical_order() {
             }
         }
 
-        // matmul_transa (single-block regime): bitwise == legacy scalar
-        // scatter in ascending k.
+        // matmul_transa: bitwise == legacy scalar scatter in ascending k.
         let a2 = seeded(k, m, 4000 + k as u64);
         let b2 = seeded(k, n, 5000 + k as u64);
         let got = a2.matmul_transa(&b2);
-        let mut want = DenseMatrix::zeros(m, n);
-        for kk in 0..k {
-            for i in 0..m {
-                let av = a2.get(kk, i);
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    let w = want.get(i, j) + av * b2.get(kk, j);
-                    want.set(i, j, w);
-                }
-            }
-        }
+        let want = transa_reference(&a2, &b2);
         assert_eq!(bits(&got), bits(&want), "transa k={k} diverged from the scalar reference");
 
         // And all of the above are thread-invariant at the tail shapes.

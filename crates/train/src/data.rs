@@ -59,6 +59,14 @@ impl GraphData {
                     "{name} split references node {v}, but the graph has {n} nodes"
                 )));
             }
+            // A repeated id would count twice in the masked loss but get
+            // its gradient row only once.
+            let mut seen = vec![false; n];
+            if let Some(&v) = ids.iter().find(|&&v| std::mem::replace(&mut seen[v], true)) {
+                return Err(TrainError::bad_input(format!(
+                    "{name} split lists node {v} more than once"
+                )));
+            }
         }
         if !features.as_slice().iter().all(|x| x.is_finite()) {
             return Err(TrainError::bad_input("features contain non-finite values"));
@@ -143,6 +151,19 @@ mod tests {
         match err {
             Err(crate::TrainError::BadInput { reason }) => {
                 assert!(reason.contains("test split"), "{reason}")
+            }
+            other => panic!("expected BadInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_split_id_rejected() {
+        let g =
+            DiGraph::from_edges(3, vec![(0, 1)]).unwrap().with_labels(vec![0, 1, 0], 2).unwrap();
+        let err = GraphData::new(&g, DenseMatrix::ones(3, 1), vec![0, 2], vec![1, 1], vec![]);
+        match err {
+            Err(crate::TrainError::BadInput { reason }) => {
+                assert_eq!(reason, "val split lists node 1 more than once")
             }
             other => panic!("expected BadInput, got {other:?}"),
         }

@@ -31,8 +31,8 @@ pub enum TrainError {
         /// Recovery attempts consumed before giving up.
         retries: usize,
     },
-    /// The tape verifier's mandatory pre-flight rejected the model's op
-    /// graph before any epoch was spent on it.
+    /// The tape verifier (`--verify-tape` in the CLI and the bench
+    /// binaries) rejected the model's op graph before training.
     VerifierRejected {
         /// Model name as reported by [`crate::Model::name`].
         model: String,

@@ -1,7 +1,7 @@
 //! The model trait shared by ADPA and every baseline.
 
 use crate::data::GraphData;
-use amud_nn::{NodeId, ParamBank, Tape};
+use amud_nn::{NodeId, ParamBank, Rows, Tape};
 use rand::rngs::StdRng;
 
 /// A trainable node classifier.
@@ -28,6 +28,28 @@ pub trait Model {
         training: bool,
         rng: &mut StdRng,
     ) -> NodeId;
+
+    /// Records the forward pass for the rows `rows.ids()` only; returns a
+    /// `rows.len() × n_classes` logits node whose row `i` is bit-identical
+    /// to row `rows.ids()[i]` of [`Model::forward`] under the same `rng`
+    /// state, and which consumes the same RNG stream. The trainer trains
+    /// and evaluates through this method.
+    ///
+    /// The default runs the full forward and gathers the rows, which is
+    /// exact for any model, graph-coupled ones included. Node-wise models
+    /// (ADPA after its Eq. 9 precompute) override it to compute only the
+    /// selected rows.
+    fn forward_rows(
+        &self,
+        tape: &mut Tape,
+        data: &GraphData,
+        rows: &Rows,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> NodeId {
+        let logits = self.forward(tape, data, training, rng);
+        tape.gather_rows(logits, rows)
+    }
 
     /// Human-readable model name for experiment tables.
     fn name(&self) -> &'static str;

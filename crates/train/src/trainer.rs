@@ -1,6 +1,12 @@
 //! Training loop with early stopping, seeded repeats, and divergence
 //! recovery (DESIGN.md §8).
 //!
+//! The loop is row-local: each epoch records the training forward for
+//! the sorted `train` rows only and the eval forward for the sorted
+//! `val ∪ test` rows only, through [`Model::forward_rows`]. Its results
+//! are bit-identical to a loop over full-graph forwards (see
+//! `tests/row_local_training.rs`).
+//!
 //! Every epoch runs under a numerical-health monitor: the training loss
 //! must stay finite and the raw (pre-clip) gradient norm must stay under
 //! [`TrainConfig::grad_limit`]. On a violation the trainer rolls the
@@ -16,8 +22,8 @@ use crate::error::TrainError;
 use crate::faults::FaultPlan;
 use crate::metrics::{accuracy, Summary};
 use crate::model::Model;
-use amud_nn::verify::{has_errors, render, Diagnostic, TapeVerifier};
-use amud_nn::{Adam, ParamBank, Tape};
+use amud_nn::verify::{Diagnostic, TapeVerifier};
+use amud_nn::{Adam, ParamBank, Rows, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
@@ -191,7 +197,9 @@ pub fn train_with_faults(
 /// Records one evaluation-mode forward pass (plus the training loss) and
 /// statically verifies the resulting op graph — shape inference, gradient
 /// reachability of every parameter, dangling nodes. Returns the verifier's
-/// findings; an empty vector means the graph is clean.
+/// findings; an empty vector means the graph is clean. The trainer does
+/// not call this; the CLI and the bench binaries run it on
+/// `--verify-tape`, and `tests/verify_models.rs` runs it on every model.
 pub fn verify_model(model: &dyn Model, data: &GraphData, seed: u64) -> Vec<Diagnostic> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tape = Tape::new();
@@ -210,25 +218,23 @@ fn train_inner(
 ) -> Result<TrainResult, TrainError> {
     cfg.validate()?;
 
-    // Mandatory pre-flight: statically verify the op graph the model
-    // records before spending any epochs on it. Uses its own RNG so the
-    // training stream below is unchanged.
-    let preflight = verify_model(model, data, seed);
-    if has_errors(&preflight) {
-        return Err(TrainError::VerifierRejected {
-            model: model.name().to_string(),
-            report: render(&preflight),
-        });
-    }
-
     // TAINT-PURE(started): wall-clock only drives the timeout check and
     // the wall-seconds reporting field, never any trained value.
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut lr = cfg.lr;
     let mut adam = Adam::new(lr).with_weight_decay(cfg.weight_decay).with_clip_norm(5.0);
-    let labels = Rc::clone(&data.labels);
-    let train_mask = Rc::clone(&data.train);
+
+    // The loss reads only the train rows and the metrics only val ∪ test,
+    // so each forward runs over just those rows.
+    let n = data.n_nodes();
+    let train_rows = Rows::new(n, data.train.iter().copied());
+    let eval_rows = Rows::new(n, data.val.iter().chain(data.test.iter()).copied());
+    let train_labels = Rc::new(labels_of(&train_rows, &data.labels));
+    let train_mask = Rc::new(positions(&train_rows, &data.train));
+    let eval_labels = labels_of(&eval_rows, &data.labels);
+    let val_local = positions(&eval_rows, &data.val);
+    let test_local = positions(&eval_rows, &data.test);
 
     // Last-good checkpoint: the initial parameters until the first
     // best-val epoch replaces them.
@@ -257,11 +263,15 @@ fn train_inner(
         // --- optimisation step (gradients land in the bank, update held
         //     back until the health monitor clears the epoch) ---
         let mut tape = Tape::new();
-        let logits = model.forward(&mut tape, data, true, &mut rng);
-        let loss = tape.masked_cross_entropy(logits, Rc::clone(&labels), Rc::clone(&train_mask));
+        let logits = model.forward_rows(&mut tape, data, &train_rows, true, &mut rng);
+        let loss =
+            tape.masked_cross_entropy(logits, Rc::clone(&train_labels), Rc::clone(&train_mask));
         let mut train_loss = tape.value(loss).get(0, 0) as f64;
         tape.backward(loss);
         tape.apply_grads(model.bank_mut());
+        // The gradients are in the bank now; free the tape before the eval
+        // forward records its own.
+        drop(tape);
 
         // --- fault injection (deterministic, epoch-addressed) ---
         if let Some(plan) = faults {
@@ -319,10 +329,10 @@ fn train_inner(
 
         // --- evaluation ---
         let mut eval_tape = Tape::new();
-        let eval_logits = model.forward(&mut eval_tape, data, false, &mut rng);
+        let eval_logits = model.forward_rows(&mut eval_tape, data, &eval_rows, false, &mut rng);
         let logit_values = eval_tape.value(eval_logits);
-        let val_acc = accuracy(logit_values, &labels, &data.val);
-        let test_acc = accuracy(logit_values, &labels, &data.test);
+        let val_acc = accuracy(logit_values, &eval_labels, &val_local);
+        let test_acc = accuracy(logit_values, &eval_labels, &test_local);
 
         if record_curve {
             curve.push(TrainCurve { epoch, train_loss, val_acc, test_acc });
@@ -357,6 +367,22 @@ fn train_inner(
         threads: amud_par::current_threads(),
         cache: amud_cache::stats(),
     })
+}
+
+/// The labels of the selected rows, in row order.
+fn labels_of(rows: &Rows, labels: &[usize]) -> Vec<usize> {
+    rows.ids().iter().map(|&r| labels[r]).collect()
+}
+
+/// The position of each of `ids` among `rows`, in the order of `ids`, so
+/// a masked loss over the gathered rows adds its terms in split order.
+fn positions(rows: &Rows, ids: &[usize]) -> Vec<usize> {
+    ids.iter()
+        .map(|&v| match rows.position(v) {
+            Some(i) => i,
+            None => unreachable!("rows are built from the split ids"),
+        })
+        .collect()
 }
 
 /// One seed's failure inside a repeated run (the failure manifest entry).

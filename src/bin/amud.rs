@@ -100,9 +100,9 @@ fn cmd_score(target: &str) {
     println!("decision: {:?} → Paradigm {:?}", report.decision, par);
 }
 
-/// Statically verifies the tape a model records and prints the findings.
-/// Exits with the verifier's code when the graph is wrong (mirrors the
-/// trainer's mandatory pre-flight, but with a readable report).
+/// Statically verifies the tape a model records and prints the findings
+/// (`--verify-tape`). Exits with `TrainError::VerifierRejected`'s code when
+/// the graph is wrong; the trainer itself does not run the verifier.
 fn report_verification(label: &str, model: &dyn Model, input: &GraphData) {
     use amud_repro::nn::verify::{has_errors, render};
     let diags = amud_repro::train::verify_model(model, input, 0);

@@ -77,3 +77,33 @@ fn adpa_ablations_verify_clean() {
     let model = Adpa::new(&raw, no_hop, 0).unwrap();
     assert_clean("ADPA/no-hop", "chameleon", &verify_model(&model, &raw, 0));
 }
+
+#[test]
+fn adpa_row_local_tape_verifies_clean() {
+    use amud_repro::core::DpAttention;
+    use amud_repro::nn::verify::TapeVerifier;
+    use amud_repro::nn::{Rows, Tape};
+    use amud_repro::train::Model;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::rc::Rc;
+
+    // The tape the trainer records: ADPA over the train rows, then the
+    // masked loss at the rows' local positions.
+    let raw = bundle("chameleon", 43);
+    let rows = Rows::new(raw.n_nodes(), raw.train.iter().copied());
+    let labels: Vec<usize> = rows.ids().iter().map(|&r| raw.labels[r]).collect();
+    let mask: Vec<usize> = (0..rows.len()).collect();
+    for variant in [DpAttention::Original, DpAttention::Gate, DpAttention::Recursive] {
+        let cfg = AdpaConfig { dp_attention: variant, ..Default::default() };
+        let model = Adpa::new(&raw, cfg, 0).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut tape = Tape::new();
+        let logits = model.forward_rows(&mut tape, &raw, &rows, true, &mut rng);
+        assert_eq!(tape.value(logits).rows(), rows.len());
+        let loss =
+            tape.masked_cross_entropy(logits, Rc::new(labels.clone()), Rc::new(mask.clone()));
+        let diags = TapeVerifier::new().with_value_check().verify(&tape, loss);
+        assert_clean(&format!("ADPA/{variant:?} row-local"), "chameleon", &diags);
+    }
+}
