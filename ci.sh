@@ -111,6 +111,15 @@ echo "==> perfbench train-chameleon-k5 --trace 1 (row-local == full-graph)"
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload train-chameleon-k5 --seed 1 --seconds 5 --trace 1
 
+# The serving path end to end: an int8 snapshot served under open-loop
+# load with a hot swap every 500 ms. perfbench checks every wire reply
+# against an in-process `Engine::predict`, that no answer depends on the
+# batch it was merged into, and that STATS `swaps` equals the number of
+# snapshot versions written; it exits non-zero on any mismatch.
+echo "==> perfbench serve-int8-swap (engine replies and hot swaps)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-int8-swap --seed 1 --seconds 5
+
 # The fault-injection suite proves every injected failure is recovered or
 # surfaces as a typed error (and pins the CLI exit-code table).
 echo "==> cargo test -q --test fault_injection"

@@ -20,11 +20,17 @@
 //!    "w/o Hop attention" row).
 //! 4. An MLP classifier head.
 //!
-//! After step 1 every op is node-wise, so [`Model::forward_rows`] records
-//! the forward for a row subset only: it gathers those rows of the
+//! After step 1 every op is node-wise, so pieces 2–4 are written once, as
+//! two tape functions over already-gathered rows: [`record_step`] (one
+//! step of Eq. 10) and [`record_head`] (Eq. 11 and the classifier). They
+//! read the dense layers through a `linear` hook and apply dropout
+//! through a `dropout` hook. [`Model::forward_rows`] calls them with the
+//! parameter bank over a row subset: it gathers those rows of the
 //! operator features and of `W_DP`, and draws each dropout mask at the
 //! full shape before gathering it. The trainer runs it over the `train`
 //! rows and the `val ∪ test` rows, bit-identical to the full forward.
+//! The serving engine (`amud-serve`) calls the same two functions with
+//! snapshot weights and no dropout.
 //!
 //! Optionally, ADPA applies the Sec. IV-B **DP selection** rule: operators
 //! are ranked by their label correlation `r(G_d, N)` on the *training*
@@ -224,77 +230,130 @@ impl Adpa {
     pub fn config(&self) -> &AdpaConfig {
         &self.cfg
     }
+}
 
-    /// Records the Eq. 10 fusion for step `l` over `rows`, returning the
-    /// `rows.len() × hidden` representation.
-    fn fuse_step(
-        &self,
-        tape: &mut Tape,
-        l: usize,
-        rows: &Rows,
-        training: bool,
-        rng: &mut StdRng,
-    ) -> NodeId {
-        let op_feats = self.propagated.step_with_residual(l);
-        let inputs: Vec<NodeId> = op_feats.iter().map(|m| tape.constant(rows.gather(m))).collect();
+/// ADPA's dense layers after Eq. 9, borrowed from wherever the weights
+/// live: the parameter bank while training ([`Linear`]), a snapshot while
+/// serving ([`crate::QLinear`]).
+#[derive(Debug)]
+pub struct AdpaLayers<'a, L> {
+    /// How the operator features are weighted (Eq. 10).
+    pub dp_attention: DpAttention,
+    /// Per-operator scorers (`f → 1` each) for Gate / Recursive.
+    pub op_scorers: &'a [L],
+    /// The fuse layer (`fuse_in → hidden`).
+    pub fuse: &'a L,
+    /// The hop-attention scorer (`K·hidden → K`) when hop attention is on.
+    pub hop_scorer: Option<&'a L>,
+    /// The classifier layers (ReLU between, none after the last).
+    pub classifier: &'a [L],
+}
 
-        let fused_input = match self.cfg.dp_attention {
-            DpAttention::Original => {
-                let Some(w_dp) = self.w_dp else {
-                    unreachable!("Adpa::new allocates W_DP whenever dp_attention is Original")
-                };
-                let w_all = tape.param(&self.bank, w_dp);
-                let w = tape.gather_rows(w_all, rows);
-                let weighted: Vec<NodeId> =
-                    inputs.iter().enumerate().map(|(j, &x)| tape.col_scale(w, j, x)).collect();
-                tape.concat_cols(&weighted)
-            }
-            DpAttention::Gate => {
-                let weighted: Vec<NodeId> = inputs
-                    .iter()
-                    .zip(&self.op_scorers)
-                    .map(|(&x, scorer)| {
-                        let logit = scorer.forward(tape, &self.bank, x);
-                        let gate = tape.sigmoid(logit);
-                        tape.col_scale(gate, 0, x)
-                    })
-                    .collect();
-                tape.concat_cols(&weighted)
-            }
-            DpAttention::Recursive => {
-                let logits: Vec<NodeId> = inputs
-                    .iter()
-                    .zip(&self.op_scorers)
-                    .map(|(&x, scorer)| {
-                        let e = scorer.forward(tape, &self.bank, x);
-                        tape.leaky_relu(e, 0.2)
-                    })
-                    .collect();
-                let e = tape.concat_cols(&logits);
-                let w = tape.row_softmax(e);
-                let weighted: Vec<NodeId> =
-                    inputs.iter().enumerate().map(|(j, &x)| tape.col_scale(w, j, x)).collect();
-                tape.concat_cols(&weighted)
-            }
-            DpAttention::Jk => tape.concat_cols(&inputs),
-            DpAttention::None => {
-                // Unweighted mean of all operator features.
-                let mut acc = inputs[0];
-                for &x in &inputs[1..] {
-                    acc = tape.add(acc, x);
-                }
-                tape.scale(acc, 1.0 / inputs.len() as f32)
-            }
-        };
-
-        let mut h = fused_input;
-        if training && self.cfg.dropout > 0.0 {
-            let mask = rows.dropout_mask(rng, tape.value(h).cols(), self.cfg.dropout);
-            h = tape.dropout(h, mask);
+/// Records one step of Eq. 10 over already-gathered rows: DP attention
+/// over `inputs` (`X^(0)` first, then the step's operator features),
+/// dropout, the fuse layer and ReLU. `w_dp` is the gathered `W_DP` node,
+/// which [`DpAttention::Original`] needs. `linear(tape, layer, x)` records
+/// `x · W + b` from the caller's weights; `dropout(tape, h)` returns `h`
+/// or a dropped-out copy.
+pub fn record_step<L>(
+    tape: &mut Tape,
+    layers: &AdpaLayers<'_, L>,
+    inputs: &[NodeId],
+    w_dp: Option<NodeId>,
+    linear: &mut impl FnMut(&mut Tape, &L, NodeId) -> NodeId,
+    dropout: &mut impl FnMut(&mut Tape, NodeId) -> NodeId,
+) -> NodeId {
+    let fused_input = match layers.dp_attention {
+        DpAttention::Original => {
+            let Some(w) = w_dp else {
+                unreachable!(
+                    "Adpa::new allocates W_DP for Original; snapshots lacking it fail validation"
+                )
+            };
+            let weighted: Vec<NodeId> =
+                inputs.iter().enumerate().map(|(j, &x)| tape.col_scale(w, j, x)).collect();
+            tape.concat_cols(&weighted)
         }
-        let lin = self.fuse.forward(tape, &self.bank, h);
-        tape.relu(lin)
+        DpAttention::Gate => {
+            let weighted: Vec<NodeId> = inputs
+                .iter()
+                .zip(layers.op_scorers)
+                .map(|(&x, scorer)| {
+                    let logit = linear(tape, scorer, x);
+                    let gate = tape.sigmoid(logit);
+                    tape.col_scale(gate, 0, x)
+                })
+                .collect();
+            tape.concat_cols(&weighted)
+        }
+        DpAttention::Recursive => {
+            let logits: Vec<NodeId> = inputs
+                .iter()
+                .zip(layers.op_scorers)
+                .map(|(&x, scorer)| {
+                    let e = linear(tape, scorer, x);
+                    tape.leaky_relu(e, 0.2)
+                })
+                .collect();
+            let e = tape.concat_cols(&logits);
+            let w = tape.row_softmax(e);
+            let weighted: Vec<NodeId> =
+                inputs.iter().enumerate().map(|(j, &x)| tape.col_scale(w, j, x)).collect();
+            tape.concat_cols(&weighted)
+        }
+        DpAttention::Jk => tape.concat_cols(inputs),
+        DpAttention::None => {
+            // Unweighted mean of all operator features.
+            let mut acc = inputs[0];
+            for &x in &inputs[1..] {
+                acc = tape.add(acc, x);
+            }
+            tape.scale(acc, 1.0 / inputs.len() as f32)
+        }
+    };
+    let h = dropout(tape, fused_input);
+    let lin = linear(tape, layers.fuse, h);
+    tape.relu(lin)
+}
+
+/// Records Eq. 11 and the classifier over already-gathered rows: hop
+/// attention across the `K` step representations (their mean when hop
+/// attention is off), then each classifier layer after dropout, with ReLU
+/// between layers. The hooks are [`record_step`]'s.
+pub fn record_head<L>(
+    tape: &mut Tape,
+    layers: &AdpaLayers<'_, L>,
+    step_reprs: &[NodeId],
+    linear: &mut impl FnMut(&mut Tape, &L, NodeId) -> NodeId,
+    dropout: &mut impl FnMut(&mut Tape, NodeId) -> NodeId,
+) -> NodeId {
+    let mut h = if let Some(hop) = layers.hop_scorer {
+        let stacked = tape.concat_cols(step_reprs);
+        let e = linear(tape, hop, stacked);
+        let act = tape.leaky_relu(e, 0.2);
+        let w = tape.row_softmax(act);
+        let mut acc = tape.col_scale(w, 0, step_reprs[0]);
+        for (l, &h) in step_reprs.iter().enumerate().skip(1) {
+            let scaled = tape.col_scale(w, l, h);
+            acc = tape.add(acc, scaled);
+        }
+        acc
+    } else {
+        let mut acc = step_reprs[0];
+        for &h in &step_reprs[1..] {
+            acc = tape.add(acc, h);
+        }
+        tape.scale(acc, 1.0 / step_reprs.len() as f32)
+    };
+    let last = layers.classifier.len() - 1;
+    for (i, layer) in layers.classifier.iter().enumerate() {
+        h = dropout(tape, h);
+        h = linear(tape, layer, h);
+        if i != last {
+            h = tape.relu(h);
+        }
     }
+    h
 }
 
 impl Model for Adpa {
@@ -325,34 +384,40 @@ impl Model for Adpa {
         training: bool,
         rng: &mut StdRng,
     ) -> NodeId {
-        // Level 1: DP attention per step (Eq. 10).
-        let step_reprs: Vec<NodeId> =
-            (1..=self.cfg.k_steps).map(|l| self.fuse_step(tape, l, rows, training, rng)).collect();
-
-        // Level 2: hop attention across steps (Eq. 11).
-        let fused = if let Some(hop) = &self.hop_scorer {
-            let stacked = tape.concat_cols(&step_reprs);
-            let e = hop.forward(tape, &self.bank, stacked);
-            let act = tape.leaky_relu(e, 0.2);
-            let w = tape.row_softmax(act);
-            // K ≥ 1 is validated at construction, so step_reprs is
-            // non-empty; fold in the same op order the Option loop used.
-            let mut acc = tape.col_scale(w, 0, step_reprs[0]);
-            for (l, &h) in step_reprs.iter().enumerate().skip(1) {
-                let scaled = tape.col_scale(w, l, h);
-                acc = tape.add(acc, scaled);
-            }
-            acc
-        } else {
-            let mut acc = step_reprs[0];
-            for &h in &step_reprs[1..] {
-                acc = tape.add(acc, h);
-            }
-            tape.scale(acc, 1.0 / step_reprs.len() as f32)
+        let layers = AdpaLayers {
+            dp_attention: self.cfg.dp_attention,
+            op_scorers: &self.op_scorers,
+            fuse: &self.fuse,
+            hop_scorer: self.hop_scorer.as_ref(),
+            classifier: &self.classifier.layers,
         };
-
-        // Classifier head.
-        self.classifier.forward_rows(tape, &self.bank, fused, rows, training, rng)
+        let bank = &self.bank;
+        let p = self.cfg.dropout;
+        let mut linear = |tape: &mut Tape, layer: &Linear, x| layer.forward(tape, bank, x);
+        let mut dropout = |tape: &mut Tape, h| {
+            if !(training && p > 0.0) {
+                return h;
+            }
+            let mask = rows.dropout_mask(rng, tape.value(h).cols(), p);
+            tape.dropout(h, mask)
+        };
+        // Level 1: DP attention per step (Eq. 10). Each step records its
+        // own W_DP leaf: `apply_grads` sums the leaves in recording order,
+        // and one shared leaf would reorder that sum for K ≥ 3.
+        let step_reprs: Vec<NodeId> = (1..=self.cfg.k_steps)
+            .map(|l| {
+                let op_feats = self.propagated.step_with_residual(l);
+                let inputs: Vec<NodeId> =
+                    op_feats.iter().map(|m| tape.constant(rows.gather(m))).collect();
+                let w_dp = self.w_dp.map(|id| {
+                    let w = tape.param(bank, id);
+                    tape.gather_rows(w, rows)
+                });
+                record_step(tape, &layers, &inputs, w_dp, &mut linear, &mut dropout)
+            })
+            .collect();
+        // Level 2: hop attention across steps (Eq. 11), then the classifier.
+        record_head(tape, &layers, &step_reprs, &mut linear, &mut dropout)
     }
 
     fn name(&self) -> &'static str {

@@ -46,8 +46,8 @@ pub mod precompute;
 /// k-order directed-pattern propagation operators (Eq. 7–9).
 pub mod propagation;
 
-pub use adpa::{Adpa, AdpaConfig, DpAttention};
+pub use adpa::{record_head, record_step, Adpa, AdpaConfig, AdpaLayers, DpAttention};
 pub use amud::{amud_score, AmudDecision, AmudReport, PatternCorrelation};
-pub use export::{AdpaExport, LinearExport, QLinear, QuantizedExport};
+pub use export::{QLinear, QuantizedExport};
 pub use paradigm::{prepare_topology, Paradigm};
 pub use propagation::PropagatedFeatures;

@@ -4,7 +4,6 @@
 
 use crate::matrix::DenseMatrix;
 use crate::optim::{ParamBank, ParamId};
-use crate::rows::Rows;
 use crate::tape::{NodeId, Tape};
 use rand::Rng;
 use std::rc::Rc;
@@ -103,30 +102,12 @@ impl Mlp {
         training: bool,
         rng: &mut R,
     ) -> NodeId {
-        let rows = Rows::all(tape.value(x).rows());
-        self.forward_rows(tape, bank, x, &rows, training, rng)
-    }
-
-    /// [`Mlp::forward`] on the rows `rows.ids()` of an `rows.n()`-row
-    /// input; `x` holds just those rows. Each dropout mask is drawn over
-    /// the full `rows.n() × c` shape ([`Rows::dropout_mask`]), so
-    /// the RNG stream and every selected row's output match the
-    /// full-input forward bit for bit.
-    pub fn forward_rows<R: Rng>(
-        &self,
-        tape: &mut Tape,
-        bank: &ParamBank,
-        x: NodeId,
-        rows: &Rows,
-        training: bool,
-        rng: &mut R,
-    ) -> NodeId {
-        assert_eq!(tape.value(x).rows(), rows.len(), "Mlp::forward_rows: x rows != rows.len()");
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             if training && self.dropout > 0.0 {
-                let mask = rows.dropout_mask(rng, tape.value(h).cols(), self.dropout);
+                let (r, c) = tape.value(h).shape();
+                let mask = dropout_mask(rng, r, c, self.dropout);
                 h = tape.dropout(h, mask);
             }
             h = layer.forward(tape, bank, h);
@@ -193,27 +174,6 @@ mod tests {
         let x = tape.constant(xs);
         let logits = mlp.forward(&mut tape, &bank, x, false, &mut rng);
         assert_eq!(tape.value(logits).argmax_rows(), vec![0, 1, 1, 0]);
-    }
-
-    #[test]
-    fn forward_rows_is_the_gathered_full_forward() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut bank = ParamBank::new();
-        let mlp = Mlp::new(&mut bank, &[4, 8, 8, 3], Activation::Relu, 0.5, &mut rng);
-        let x = DenseMatrix::from_fn(7, 4, |r, c| ((r * 4 + c) as f32 * 0.37).sin());
-        let rows = Rows::new(7, [1, 4, 5]);
-        let (mut full_rng, mut local_rng) = (rng.clone(), rng);
-        let mut tape = Tape::new();
-        let xn = tape.constant(x.clone());
-        let full = mlp.forward(&mut tape, &bank, xn, true, &mut full_rng);
-        let want = rows.gather(tape.value(full));
-        let mut tape = Tape::new();
-        let xn = tape.constant(rows.gather(&x));
-        let local = mlp.forward_rows(&mut tape, &bank, xn, &rows, true, &mut local_rng);
-        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(tape.value(local)), bits(&want));
-        // Both forwards consumed the same RNG stream.
-        assert_eq!(full_rng.gen::<u64>(), local_rng.gen::<u64>());
     }
 
     #[test]

@@ -1,34 +1,30 @@
 //! Row-gather inference engine (DESIGN.md §13.2).
 //!
-//! ADPA's eval-mode forward pass is *row-local*: every op it uses —
-//! `col_scale`, `add_bias`, `relu`, `leaky_relu`, `sigmoid`,
-//! `row_softmax`, row-blocked `matmul`, `concat_cols`, `scale`, `add` —
-//! computes output row `v` from input rows `v` only (the sparse topology
-//! was consumed by the one-time Eq. 9 precompute). The engine exploits
-//! this: to answer a request for nodes `{v₁…v_b}` it gathers those rows
-//! from the propagated tensors (and `W_DP`), then replays the exact
-//! scalar arithmetic of the tape's forward pass on the `b`-row slices.
-//! The result is **bit-identical** to running the full-graph tape forward
-//! and reading out the same rows — pinned by the `matches_tape_forward`
-//! tests below across every attention variant.
-//!
-//! Dense kernels (`matmul`) ride `amud-par`'s worker pool and inherit its
-//! bit-identity-at-any-thread-count contract; the elementwise glue here
-//! runs serially (request batches are small next to training workloads).
+//! ADPA's eval-mode forward pass is *row-local*: after the one-time Eq. 9
+//! precompute, output row `v` depends on input rows `v` only. To answer
+//! a request for nodes `{v₁…v_b}` the engine gathers those rows from the
+//! propagated tensors (and `W_DP`) and records the forward on them with
+//! amud-core's [`record_step`] and [`record_head`], the same two
+//! functions the trainer records. Weights come from the snapshot and
+//! there is no dropout. Each step is recorded on its own [`Tape`], which
+//! is dropped once the step's output is read, so a request holds one
+//! step's intermediates at a time. The result is **bit-identical** to
+//! the full-graph tape forward read out at the same rows, pinned by
+//! `matches_tape_forward_bit_for_bit_across_variants` below.
 //!
 //! **Quantized snapshots** stay stored quantized: row gathers decode only
-//! the requested int8 feature rows ([`QMatrix::decode_row_into`]),
-//! and each dense layer goes through [`amud_quant::matmul_deq`], which
-//! decodes a quantized weight once per `linear` call into a temporary
-//! f32 matrix and runs the f32 `matmul` on it. Because the decode is a
-//! single rounding shared by both paths, a quantized engine is
-//! bit-identical to an f32 engine built from the dequantized export —
-//! pinned by `quantized_engine_matches_dequantized`.
+//! the requested int8 feature rows ([`QMatrix::decode_row_into`]), and
+//! each dense layer goes through [`amud_quant::matmul_deq`], which
+//! decodes a quantized weight once per call into a temporary f32 matrix
+//! and runs the f32 `matmul` on it. Because the decode is a single
+//! rounding shared by both paths, a quantized engine is bit-identical to
+//! an f32 engine built from the decoded export, pinned by
+//! `quantized_engine_matches_dequantized_f32_engine_bit_for_bit`.
 
 use crate::error::{ServeError, SnapshotError};
 use crate::snapshot::Snapshot;
-use amud_core::{DpAttention, QLinear, QuantizedExport};
-use amud_nn::DenseMatrix;
+use amud_core::{record_head, record_step, DpAttention, QLinear, QuantizedExport};
+use amud_nn::{DenseMatrix, NodeId, Tape};
 use amud_quant::{matmul_deq, QMatrix};
 
 /// One prediction in a reply.
@@ -210,121 +206,57 @@ impl Engine {
             )));
         }
         let e = &self.export;
-
-        // Level 1: DP attention per step (Eq. 10), on gathered rows.
+        let layers = e.layers();
+        let mut linear = |tape: &mut Tape, layer: &QLinear, x| {
+            let xw = tape.constant(matmul_deq(tape.value(x), &layer.w));
+            let b = tape.constant(layer.b.clone());
+            tape.add_bias(xw, b)
+        };
+        let mut no_dropout = |_: &mut Tape, h: NodeId| h;
         let x0 = gather(&e.x0, nodes);
         let w_dp = e.w_dp.as_ref().map(|w| gather(w, nodes));
-        let step_reprs: Vec<DenseMatrix> = (1..=e.k_steps)
-            .map(|l| {
-                let mut ops: Vec<DenseMatrix> = Vec::with_capacity(e.steps[l - 1].len() + 1);
-                ops.push(x0.clone());
-                for m in &e.steps[l - 1] {
-                    ops.push(gather(m, nodes));
-                }
-                let fused_input = match e.dp_attention {
-                    DpAttention::Original => {
-                        let Some(w) = &w_dp else {
-                            unreachable!("validated: Original attention has W_DP")
-                        };
-                        let weighted: Vec<DenseMatrix> =
-                            ops.iter().enumerate().map(|(j, x)| col_scale(w, j, x)).collect();
-                        concat(&weighted)
-                    }
-                    DpAttention::Gate => {
-                        let weighted: Vec<DenseMatrix> = ops
-                            .iter()
-                            .zip(&e.op_scorers)
-                            .map(|(x, scorer)| {
-                                let mut logit = linear(x, scorer);
-                                sigmoid(&mut logit);
-                                col_scale(&logit, 0, x)
-                            })
-                            .collect();
-                        concat(&weighted)
-                    }
-                    DpAttention::Recursive => {
-                        let logits: Vec<DenseMatrix> = ops
-                            .iter()
-                            .zip(&e.op_scorers)
-                            .map(|(x, scorer)| {
-                                let mut v = linear(x, scorer);
-                                leaky_relu(&mut v, 0.2);
-                                v
-                            })
-                            .collect();
-                        let mut w = concat(&logits);
-                        row_softmax(&mut w);
-                        let weighted: Vec<DenseMatrix> =
-                            ops.iter().enumerate().map(|(j, x)| col_scale(&w, j, x)).collect();
-                        concat(&weighted)
-                    }
-                    DpAttention::Jk => concat(&ops),
-                    DpAttention::None => {
-                        let mut acc = ops[0].clone();
-                        for x in &ops[1..] {
-                            add_assign(&mut acc, x);
-                        }
-                        scale(&mut acc, 1.0 / ops.len() as f32);
-                        acc
-                    }
-                };
-                let mut h = linear(&fused_input, &e.fuse);
-                relu(&mut h);
-                h
+        // One tape per step, dropped once its output is read, so a request
+        // holds one step's intermediates at a time.
+        let step_reprs: Vec<DenseMatrix> = e
+            .steps
+            .iter()
+            .map(|ops| {
+                let mut tape = Tape::new();
+                let inputs: Vec<NodeId> = std::iter::once(x0.clone())
+                    .chain(ops.iter().map(|m| gather(m, nodes)))
+                    .map(|m| tape.constant(m))
+                    .collect();
+                let w = w_dp.clone().map(|w| tape.constant(w));
+                let h = record_step(&mut tape, &layers, &inputs, w, &mut linear, &mut no_dropout);
+                tape.value(h).clone()
             })
             .collect();
-
-        // Level 2: hop attention across steps (Eq. 11).
-        let fused = if let Some(hop) = &e.hop_scorer {
-            let refs: Vec<&DenseMatrix> = step_reprs.iter().collect();
-            let stacked = DenseMatrix::concat_cols(&refs);
-            let mut w = linear(&stacked, hop);
-            leaky_relu(&mut w, 0.2);
-            row_softmax(&mut w);
-            let mut acc = col_scale(&w, 0, &step_reprs[0]);
-            for (l, h) in step_reprs.iter().enumerate().skip(1) {
-                let scaled = col_scale(&w, l, h);
-                add_assign(&mut acc, &scaled);
-            }
-            acc
-        } else {
-            let mut acc = step_reprs[0].clone();
-            for h in &step_reprs[1..] {
-                add_assign(&mut acc, h);
-            }
-            scale(&mut acc, 1.0 / step_reprs.len() as f32);
-            acc
-        };
-
-        // Classifier head: ReLU between layers, none after the last.
-        let mut h = fused;
-        let last = e.classifier.len() - 1;
-        for (i, layer) in e.classifier.iter().enumerate() {
-            h = linear(&h, layer);
-            if i != last {
-                relu(&mut h);
-            }
-        }
-        Ok(h)
+        let mut tape = Tape::new();
+        let step_reprs: Vec<NodeId> = step_reprs.into_iter().map(|h| tape.constant(h)).collect();
+        let out = record_head(&mut tape, &layers, &step_reprs, &mut linear, &mut no_dropout);
+        Ok(tape.value(out).clone())
     }
 
     /// Predictions (argmax class + softmax confidence) for the requested
     /// nodes, in request order.
     pub fn predict(&self, nodes: &[usize]) -> Result<Vec<Prediction>, ServeError> {
-        let mut logits = self.logits(nodes)?;
+        let logits = self.logits(nodes)?;
         let classes = logits.argmax_rows();
-        row_softmax(&mut logits);
+        let mut tape = Tape::new();
+        let logits = tape.constant(logits);
+        let probs = tape.row_softmax(logits);
+        let probs = tape.value(probs);
         Ok(nodes
             .iter()
             .zip(classes)
             .enumerate()
-            .map(|(i, (&node, class))| Prediction { node, class, confidence: logits.get(i, class) })
+            .map(|(i, (&node, class))| Prediction { node, class, confidence: probs.get(i, class) })
             .collect())
     }
 }
 
 /// Gathers the requested rows of `m` into a `b × cols` f32 matrix,
-/// decoding quantized rows on the fly (one rounding per element — the
+/// decoding quantized rows on the fly (one rounding per element, the
 /// same decode `dequantize` uses, so gathers are precision-agnostic).
 fn gather(m: &QMatrix, nodes: &[usize]) -> DenseMatrix {
     let cols = m.cols();
@@ -333,89 +265,6 @@ fn gather(m: &QMatrix, nodes: &[usize]) -> DenseMatrix {
         m.decode_row_into(v, out.row_mut(i));
     }
     out
-}
-
-/// `x · W + b` — the tape's `matmul` + `add_bias` pair. An f32 weight
-/// runs the shared row-blocked kernel directly; a quantized one is
-/// decoded once per call into a temporary f32 matrix first
-/// ([`matmul_deq`]). The bias add replays `add_bias`'s per-row `+=` in
-/// the same element order.
-fn linear(x: &DenseMatrix, l: &QLinear) -> DenseMatrix {
-    let mut y = matmul_deq(x, &l.w);
-    let bias = l.b.row(0);
-    for r in 0..y.rows() {
-        for (v, &b) in y.row_mut(r).iter_mut().zip(bias) {
-            *v += b;
-        }
-    }
-    y
-}
-
-/// The tape's `col_scale`: row `r` of `x` times `w[r, col]`.
-fn col_scale(w: &DenseMatrix, col: usize, x: &DenseMatrix) -> DenseMatrix {
-    let mut out = x.clone();
-    for r in 0..out.rows() {
-        let factor = w.get(r, col);
-        for v in out.row_mut(r) {
-            *v *= factor;
-        }
-    }
-    out
-}
-
-fn concat(parts: &[DenseMatrix]) -> DenseMatrix {
-    let refs: Vec<&DenseMatrix> = parts.iter().collect();
-    DenseMatrix::concat_cols(&refs)
-}
-
-fn relu(m: &mut DenseMatrix) {
-    for v in m.as_mut_slice() {
-        *v = v.max(0.0);
-    }
-}
-
-fn leaky_relu(m: &mut DenseMatrix, alpha: f32) {
-    for v in m.as_mut_slice() {
-        *v = if *v > 0.0 { *v } else { alpha * *v };
-    }
-}
-
-fn sigmoid(m: &mut DenseMatrix) {
-    for v in m.as_mut_slice() {
-        *v = 1.0 / (1.0 + (-*v).exp());
-    }
-}
-
-fn add_assign(a: &mut DenseMatrix, b: &DenseMatrix) {
-    for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += y;
-    }
-}
-
-fn scale(m: &mut DenseMatrix, s: f32) {
-    for v in m.as_mut_slice() {
-        *v *= s;
-    }
-}
-
-/// The tape's `row_softmax` / `softmax_in_place`, replayed exactly:
-/// max-shift, exp with the sum accumulated in element order, then a
-/// guarded divide.
-fn row_softmax(m: &mut DenseMatrix) {
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -467,11 +316,13 @@ mod tests {
             let all: Vec<usize> = (0..d.n_nodes()).collect();
             let got = engine.logits(&all).unwrap();
             assert_eq!(got, full, "{variant:?} hop={hop}: engine must be bit-identical");
-            // …and a scattered small batch must reproduce exactly those rows.
-            let batch = [3usize, 0, 17 % d.n_nodes(), 5];
-            let got = engine.logits(&batch).unwrap();
-            for (i, &v) in batch.iter().enumerate() {
-                assert_eq!(got.row(i), full.row(v), "{variant:?} row {v}");
+            // …and scattered small batches, one with repeated, unsorted ids
+            // as the batcher merges them, must reproduce exactly those rows.
+            for batch in [[3usize, 0, 17 % d.n_nodes(), 5], [5, 0, 5, 3]] {
+                let got = engine.logits(&batch).unwrap();
+                for (i, &v) in batch.iter().enumerate() {
+                    assert_eq!(got.row(i), full.row(v), "{variant:?} row {v} of {batch:?}");
+                }
             }
         }
     }
@@ -491,16 +342,14 @@ mod tests {
                 QuantSpec { features: Precision::F32, weights: Precision::I8 },
             ] {
                 let q = base.requantized(spec);
-                let f32_twin = Snapshot {
-                    tag: q.tag,
-                    export: amud_core::QuantizedExport::from_export(q.export.dequantize()),
-                };
+                let f32_twin = Snapshot { tag: q.tag, export: q.export.quantize(QuantSpec::F32) };
                 let qe = Engine::new(q).expect("quantized snapshot must validate");
                 assert_eq!(qe.spec(), spec);
                 assert!(qe.n_bytes() < Engine::new(f32_twin.clone()).unwrap().n_bytes());
                 let fe = Engine::new(f32_twin).unwrap();
                 let all: Vec<usize> = (0..14).collect();
-                for batch in [&all[..], &[0usize, 13, 7][..], &[5usize][..]] {
+                for batch in [&all[..], &[0usize, 13, 7][..], &[5usize][..], &[5usize, 0, 5, 3][..]]
+                {
                     let got = qe.logits(batch).unwrap();
                     let want = fe.logits(batch).unwrap();
                     assert_eq!(got, want, "variant {variant} spec {spec:?} batch {batch:?}");

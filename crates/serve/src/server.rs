@@ -14,12 +14,13 @@
 //!   with `TIMEOUT` (a late request never stalls the live ones), merges
 //!   the rest into one engine call, and fans the rows back out. Engine
 //!   swaps happen here, strictly *between* batches.
-//! * **watcher** — polls the snapshot path; when the bytes change it
-//!   validates the candidate end-to-end (parse, seals, shape check) and
-//!   stages it for the batcher. A candidate that fails validation bumps
-//!   the `degraded` counter and the server keeps answering from the
-//!   last-good engine — graceful degradation, observable via `STATS` /
-//!   `HEALTH`.
+//! * **watcher** — polls the snapshot path. It reads the file only when
+//!   its `(len, mtime, inode)` stamp changed or its mtime is under 2 s
+//!   old. When the bytes' fingerprint changes it validates the candidate
+//!   end-to-end (parse, seals, shape check) and stages it for the
+//!   batcher. A candidate that fails validation bumps the `degraded`
+//!   counter and the server keeps answering from the last-good engine —
+//!   graceful degradation, observable via `STATS` / `HEALTH`.
 //!
 //! ## Protocol (text lines over TCP)
 //!
@@ -42,10 +43,11 @@ use amud_cache::fingerprint_bytes;
 use amud_par::{spawn_service, ServiceHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Everything tunable about one server instance. Defaults are sized for
 /// the replica-scale models this repo trains; tests shrink the queue and
@@ -586,16 +588,42 @@ fn run_batch(engine: &Engine, batch: Vec<Request>, shared: &Arc<Shared>) {
 // Snapshot watcher
 // ---------------------------------------------------------------------
 
+/// How old a snapshot's mtime must be before an unchanged stamp lets the
+/// watcher skip reading it. A younger file can be rewritten within one
+/// coarse timestamp tick and keep its stamp, so it is read every tick.
+const SETTLED_AFTER: Duration = Duration::from_secs(2);
+
+/// `(len, mtime, inode)` of a file: what changes when it is replaced or
+/// rewritten.
+type Stamp = (u64, SystemTime, u64);
+
+fn stamp(path: &Path) -> Option<Stamp> {
+    let meta = std::fs::metadata(path).ok()?;
+    Some((meta.len(), meta.modified().ok()?, meta.ino()))
+}
+
 fn watcher_loop(shared: &Arc<Shared>, initial_fp: u64) {
     let mut last_fp = initial_fp;
+    let mut last_read: Option<Stamp> = None;
     loop {
         std::thread::sleep(Duration::from_millis(shared.cfg.watch_interval_ms.max(1)));
         if shared.lock().shutdown {
             break;
         }
+        // The stamp is taken before the read, so a write racing the read
+        // leaves a stale stamp behind and is read again next tick.
+        let now = stamp(&shared.cfg.snapshot_path);
+        if let Some(st @ (_, mtime, _)) = now {
+            let settled =
+                SystemTime::now().duration_since(mtime).is_ok_and(|age| age >= SETTLED_AFTER);
+            if settled && last_read == Some(st) {
+                continue;
+            }
+        }
         // A transient read failure (file mid-replacement) is retried on
         // the next tick — the poll interval *is* the backoff.
         let Ok(bytes) = std::fs::read(&shared.cfg.snapshot_path) else { continue };
+        last_read = now;
         let fp = fingerprint_bytes(&bytes);
         if fp == last_fp {
             continue;
@@ -753,6 +781,49 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "valid candidate never swapped in: {reply}");
             // Keep traffic flowing so the batcher has batch boundaries.
+            assert!(roundtrip(&mut r, &mut w, "PREDICT 2").starts_with("OK "));
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.stop();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn same_length_in_place_rewrite_of_a_settled_file_swaps() {
+        let path = tmp_snap("inplace", 6);
+        let backdate = |age_s: u64| {
+            let f = std::fs::File::options().write(true).open(&path).unwrap();
+            f.set_modified(SystemTime::now() - Duration::from_secs(age_s)).unwrap();
+        };
+        // A settled file: the watcher reads it once, then skips it while
+        // its stamp holds.
+        backdate(3600);
+        let before = std::fs::metadata(&path).unwrap();
+        let server = Server::start(ServerConfig {
+            snapshot_path: path.clone(),
+            watch_interval_ms: 10,
+            ..Default::default()
+        })
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+
+        // Same inode, same length, other weights; backdated again so only
+        // the changed mtime in the stamp can reveal the rewrite.
+        let bytes = crate::snapshot::encode_snapshot(&synthetic_snapshot(77, 12, 4, 2, 2, 8, 0));
+        std::fs::write(&path, &bytes).unwrap();
+        backdate(1800);
+        let after = std::fs::metadata(&path).unwrap();
+        assert_eq!((after.ino(), after.len()), (before.ino(), before.len()));
+
+        let (mut r, mut w) = connect(server.port());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let reply = roundtrip(&mut r, &mut w, "STATS");
+            if reply.contains("\"tag\":77") {
+                assert!(reply.contains("\"swaps\":1"), "{reply}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "in-place rewrite never swapped in: {reply}");
             assert!(roundtrip(&mut r, &mut w, "PREDICT 2").starts_with("OK "));
             std::thread::sleep(Duration::from_millis(10));
         }

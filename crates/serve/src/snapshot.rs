@@ -1,7 +1,7 @@
 //! Crash-safe snapshot artifacts (DESIGN.md §13.1).
 //!
 //! A snapshot bundles everything [`crate::engine::Engine`] needs —
-//! an [`AdpaExport`] plus a caller-chosen tag — into one versioned binary
+//! a [`QuantizedExport`] plus a caller-chosen tag — into one versioned binary
 //! file that is safe to read while writers crash around it:
 //!
 //! * **Atomic replacement.** [`write_snapshot`] writes to a temporary
@@ -42,7 +42,7 @@
 
 use crate::error::SnapshotError;
 use amud_cache::{fingerprint_bytes, Fnv1a};
-use amud_core::{AdpaExport, DpAttention, QLinear, QuantizedExport};
+use amud_core::{DpAttention, QLinear, QuantizedExport};
 use amud_nn::DenseMatrix;
 use amud_quant::{Precision, QMatrix, QuantSpec};
 use std::path::Path;
@@ -67,19 +67,17 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Wraps a freshly exported f32 model (no quantization).
-    pub fn from_export(tag: u64, export: AdpaExport) -> Self {
-        Snapshot { tag, export: QuantizedExport::from_export(export) }
+    /// Wraps an exported model (as [`amud_core::Adpa::export`] returns it,
+    /// at f32) with a tag.
+    pub fn from_export(tag: u64, export: QuantizedExport) -> Self {
+        Snapshot { tag, export }
     }
 
     /// Re-quantizes this snapshot under `spec` (decode to f32, then
     /// quantize each tensor class). Exact when the source is f32 — the
     /// post-training quantization entry point for artifacts.
     pub fn requantized(&self, spec: QuantSpec) -> Snapshot {
-        Snapshot {
-            tag: self.tag,
-            export: QuantizedExport::quantize(&self.export.dequantize(), spec),
-        }
+        Snapshot { tag: self.tag, export: self.export.quantize(spec) }
     }
 }
 
@@ -555,7 +553,6 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, SnapshotError> {
 mod tests {
     use super::*;
     use crate::synthetic::synthetic_snapshot;
-    use amud_core::LinearExport;
     use amud_train::faults::{corrupt_binary, truncate_binary};
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -566,18 +563,18 @@ mod tests {
 
     // --- test-only v1 encoder (the pre-quantization f32 layout) -------
 
-    fn put_linear_v1(out: &mut Vec<u8>, l: &LinearExport) {
-        put_matrix(out, &l.w);
+    fn put_linear_v1(out: &mut Vec<u8>, l: &QLinear) {
+        put_matrix(out, &l.w.dequantize());
         put_matrix(out, &l.b);
     }
 
     fn encode_snapshot_v1(s: &Snapshot) -> Vec<u8> {
         assert_eq!(s.export.spec(), QuantSpec::F32, "v1 files can only hold f32 models");
-        let e = s.export.dequantize();
+        let e = &s.export;
         let mut weights = Vec::new();
         put_u32(&mut weights, u32::from(e.w_dp.is_some()));
         if let Some(w) = &e.w_dp {
-            put_matrix(&mut weights, w);
+            put_matrix(&mut weights, &w.dequantize());
         }
         put_u32(&mut weights, e.op_scorers.len() as u32);
         for l in &e.op_scorers {
@@ -593,12 +590,12 @@ mod tests {
             put_linear_v1(&mut weights, l);
         }
         let mut features = Vec::new();
-        put_matrix(&mut features, &e.x0);
+        put_matrix(&mut features, &e.x0.dequantize());
         put_u32(&mut features, e.steps.len() as u32);
         put_u32(&mut features, e.steps.first().map_or(0, Vec::len) as u32);
         for per_step in &e.steps {
             for m in per_step {
-                put_matrix(&mut features, m);
+                put_matrix(&mut features, &m.dequantize());
             }
         }
         let mut out = Vec::new();

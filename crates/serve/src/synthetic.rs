@@ -12,8 +12,9 @@
 //! microseconds.
 
 use crate::snapshot::Snapshot;
-use amud_core::{AdpaExport, DpAttention, LinearExport};
+use amud_core::{DpAttention, QLinear, QuantizedExport};
 use amud_nn::DenseMatrix;
+use amud_quant::QMatrix;
 
 /// Number of classes every synthetic snapshot predicts over.
 pub const SYNTHETIC_CLASSES: usize = 3;
@@ -33,8 +34,8 @@ fn fill(state: &mut u64, rows: usize, cols: usize) -> DenseMatrix {
     )
 }
 
-fn linear(state: &mut u64, in_dim: usize, out_dim: usize) -> LinearExport {
-    LinearExport { w: fill(state, in_dim, out_dim), b: fill(state, 1, out_dim) }
+fn linear(state: &mut u64, in_dim: usize, out_dim: usize) -> QLinear {
+    QLinear { w: QMatrix::F32(fill(state, in_dim, out_dim)), b: fill(state, 1, out_dim) }
 }
 
 /// Builds a structurally valid snapshot with pseudo-random weights.
@@ -73,14 +74,14 @@ pub fn synthetic_snapshot(
         DpAttention::None => n_features,
         _ => (k + 1) * n_features,
     };
-    let export = AdpaExport {
+    let export = QuantizedExport {
         dp_attention,
         k_steps,
         hidden,
         n_classes: SYNTHETIC_CLASSES,
         pattern_names: (0..k).map(|g| format!("G{g}")).collect(),
         w_dp: matches!(dp_attention, DpAttention::Original)
-            .then(|| fill(&mut state, n_nodes, k + 1)),
+            .then(|| QMatrix::F32(fill(&mut state, n_nodes, k + 1))),
         op_scorers: match dp_attention {
             DpAttention::Gate | DpAttention::Recursive => {
                 (0..=k).map(|_| linear(&mut state, n_features, 1)).collect()
@@ -93,9 +94,9 @@ pub fn synthetic_snapshot(
             linear(&mut state, hidden, hidden),
             linear(&mut state, hidden, SYNTHETIC_CLASSES),
         ],
-        x0: fill(&mut state, n_nodes, n_features),
+        x0: QMatrix::F32(fill(&mut state, n_nodes, n_features)),
         steps: (0..k_steps)
-            .map(|_| (0..k).map(|_| fill(&mut state, n_nodes, n_features)).collect())
+            .map(|_| (0..k).map(|_| QMatrix::F32(fill(&mut state, n_nodes, n_features))).collect())
             .collect(),
     };
     Snapshot::from_export(seed, export)
