@@ -111,6 +111,15 @@ echo "==> perfbench train-chameleon-k5 --trace 1 (row-local == full-graph)"
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload train-chameleon-k5 --seed 1 --seconds 5 --trace 1
 
+# Graph preprocessing is shared: AMUD's 2-hop family feeds ADPA's operator
+# build. On paper-scale squirrel perfbench checks that AMUD still says
+# Directed, that `Adpa::new` after the traced precompute split is all cache
+# hits, and that test accuracies are equal bit for bit between runs; it
+# exits non-zero on any mismatch.
+echo "==> perfbench sweep-squirrel --trace 1 (AMUD decision, cache hits, accuracies)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep-squirrel --seed 1 --seconds 5 --trace 1
+
 # The serving path end to end: an int8 snapshot served under open-loop
 # load with a hot swap every 500 ms. perfbench checks every wire reply
 # against an in-process `Engine::predict`, that no answer depends on the

@@ -38,11 +38,11 @@
 
 use crate::amud::rank_patterns;
 use crate::propagation::PropagatedFeatures;
-use amud_graph::PatternSet;
 use amud_nn::{Activation, DenseMatrix, Linear, Mlp, NodeId, ParamBank, ParamId, Rows, Tape};
 use amud_train::{GraphData, Model, TrainError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// The node-wise DP attention variant (Table VII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,37 +144,34 @@ impl Adpa {
             return Err(TrainError::bad_input("classifier needs at least one layer"));
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let (full, mut key) = crate::precompute::operators(&data.adj, cfg.max_order, cfg.conv_r)?;
-        let mut patterns: PatternSet = (*full).clone();
+        let (full, key) = crate::precompute::operators(&data.adj, cfg.max_order, cfg.conv_r)?;
         // On symmetric inputs (Paradigm I) the pattern family collapses —
         // A = Aᵀ makes all same-order operators identical. Keep one
         // representative per distinct sparsity pattern so the DP attention
         // is not spread across redundant copies.
-        {
-            let mut keep: Vec<usize> = Vec::new();
-            for (i, op) in patterns.operators().iter().enumerate() {
-                let duplicate = keep.iter().any(|&j| patterns.operators()[j].same_pattern(op));
-                if !duplicate {
-                    keep.push(i);
-                }
-            }
-            if keep.len() < patterns.len() {
-                patterns = patterns.select(&keep);
-                key = key.with_selection(&keep);
+        let ops = full.operators();
+        let mut keep: Vec<usize> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            if !keep.iter().any(|&j| ops[j].same_pattern(op)) {
+                keep.push(i);
             }
         }
         if let Some(r) = cfg.dp_select {
             let ranked = rank_patterns(
-                patterns.operators(),
+                keep.iter().map(|&i| &ops[i]),
                 &data.labels,
                 data.n_classes,
                 Some(&data.train),
             );
-            let keep: Vec<usize> =
-                ranked.iter().take(r.max(1).min(patterns.len())).map(|&(i, _)| i).collect();
-            patterns = patterns.select(&keep);
-            key = key.with_selection(&keep);
+            keep = ranked.iter().take(r.max(1).min(keep.len())).map(|&(i, _)| keep[i]).collect();
         }
+        // The cached set is shared; only a selection that drops or reorders
+        // operators builds a set of its own.
+        let (patterns, key) = if keep.iter().copied().eq(0..full.len()) {
+            (Cow::Borrowed(&*full), key)
+        } else {
+            (Cow::Owned(full.select(&keep)), key.with_selection(&keep))
+        };
         let pattern_names = patterns.patterns().iter().map(|p| p.name()).collect();
         let propagated =
             crate::precompute::propagated(&key, &patterns, &data.features, cfg.k_steps)?;

@@ -40,7 +40,20 @@
 //! patterns correlate identically with the labels — which is forced when
 //! the graph is symmetric — and `S` grows as orientation separates
 //! homophilous from heterophilous 2-hop contexts.
+//!
+//! # Cost
+//!
+//! AMUD pays for the four 2-hop products (a boolean SpGEMM and a diagonal
+//! strip each), one `O(nnz)` label pass per operator, and the feature
+//! pass. The products are built once per graph: [`amud_score_profiles`]
+//! takes them from the precompute RAW store when it holds the adjacency's
+//! order-2 family and otherwise materialises that family with shared
+//! prefixes, and `prepare_topology` hands it on to ADPA on Paradigm II.
+//! The feature pass costs one f64 dot of length `f` per distinct ordered
+//! neighbour pair across the four operators, which share most of their
+//! pairs, plus one per sampled pair, drawn once for all operators.
 
+use crate::precompute::TwoHopFamily;
 use amud_graph::patterns::DirectedPattern;
 use amud_graph::CsrMatrix;
 use amud_nn::DenseMatrix;
@@ -178,46 +191,81 @@ pub fn pattern_label_correlation_with_support(
     ((total_pairs * n_11 - n_g * same_label_pairs) / denom_sq.sqrt(), n_g)
 }
 
-/// Phi-style correlation between a DP operator's edges and *feature*
+/// Phi-style correlations between each DP operator's edges and *feature*
 /// similarity over node pairs (the paper's `N` covers "features or
-/// labels", Eq. 4). Returns `(r, support)` where support is the operator's
-/// off-diagonal edge count.
+/// labels", Eq. 4). Returns one `(r, support)` per operator, where support
+/// is the operator's off-diagonal edge count.
 ///
 /// For a binary pair variable `G` with density `p` and a continuous pair
 /// variable `S` (cosine similarity of L2-normalised feature rows), Pearson
 /// reduces to `r = sqrt(p/(1−p)) · (E[S|edge] − E[S]) / σ_S`. `E[S|edge]`
-/// is computed exactly over the operator's edges; the unconditional
+/// is computed exactly over each operator's edges; the unconditional
 /// moments are estimated from `n_samples` seeded random pairs, so the
 /// result is deterministic.
-pub fn pattern_feature_correlation_with_support(
-    operator: &CsrMatrix,
+///
+/// One pass serves every operator: `X` is normalised and widened to f64
+/// once, the sampled moments (which do not depend on the operator) are
+/// drawn once, and each row computes the dot of each distinct neighbour
+/// across all operators once. Every dot is the ascending-`k` f64 sum, and
+/// each operator adds its edges' dots in CSR order, so each result is the
+/// one a separate pass per operator would give, bit for bit. The pass
+/// stays sequential: that order of additions is what keeps the bits.
+fn feature_correlations(
+    operators: &[&CsrMatrix],
     features: &DenseMatrix,
     n_samples: usize,
     seed: u64,
-) -> (f64, f64) {
+) -> Vec<(f64, f64)> {
     let n = features.rows();
-    assert_eq!(operator.n_rows(), n, "operator size must match features");
+    let f = features.cols();
+    for op in operators {
+        assert_eq!(op.n_rows(), n, "operator size must match features");
+    }
     if n < 2 {
-        return (0.0, 0.0);
+        return vec![(0.0, 0.0); operators.len()];
     }
-    let x = features.l2_normalize_rows();
-    let dot = |u: usize, v: usize| -> f64 {
-        x.row(u).iter().zip(x.row(v)).map(|(&a, &b)| (a as f64) * (b as f64)).sum()
-    };
-    // Exact conditional mean over operator edges.
-    let mut n_g = 0f64;
-    let mut mean_edge = 0f64;
-    for (u, v, _) in operator.iter() {
-        if u == v {
-            continue;
+    let x: Vec<f64> = features.l2_normalize_rows().as_slice().iter().map(|&v| v as f64).collect();
+    let row = |u: usize| &x[u * f..(u + 1) * f];
+
+    // Exact conditional sums over each operator's edges. `stamp[v] == u`
+    // marks `v` as already among row `u`'s distinct neighbours, whose dot
+    // is `dots[slot[v]]`.
+    let mut n_g = vec![0f64; operators.len()];
+    let mut sum_edge = vec![0f64; operators.len()];
+    let mut stamp = vec![usize::MAX; n];
+    let mut slot = vec![0usize; n];
+    let mut neighbours: Vec<usize> = Vec::new();
+    let mut dots: Vec<f64> = Vec::new();
+    for u in 0..n {
+        neighbours.clear();
+        for op in operators {
+            for &v in op.row_cols(u) {
+                let v = v as usize;
+                if v != u && stamp[v] != u {
+                    stamp[v] = u;
+                    slot[v] = neighbours.len();
+                    neighbours.push(v);
+                }
+            }
         }
-        n_g += 1.0;
-        mean_edge += dot(u, v);
+        let xu = row(u);
+        dots.clear();
+        let mut quads = neighbours.chunks_exact(4);
+        for q in quads.by_ref() {
+            dots.extend(dot4(xu, [row(q[0]), row(q[1]), row(q[2]), row(q[3])]));
+        }
+        dots.extend(quads.remainder().iter().map(|&v| dot(xu, row(v))));
+        for (g, op) in operators.iter().enumerate() {
+            for &v in op.row_cols(u) {
+                let v = v as usize;
+                if v != u {
+                    n_g[g] += 1.0;
+                    sum_edge[g] += dots[slot[v]];
+                }
+            }
+        }
     }
-    if n_g == 0.0 {
-        return (0.0, 0.0);
-    }
-    mean_edge /= n_g;
+
     // Sampled unconditional moments.
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut sum = 0f64;
@@ -229,7 +277,7 @@ pub fn pattern_feature_correlation_with_support(
         if u == v {
             continue;
         }
-        let s = dot(u, v);
+        let s = dot(row(u), row(v));
         sum += s;
         sum_sq += s * s;
         taken += 1;
@@ -237,9 +285,36 @@ pub fn pattern_feature_correlation_with_support(
     let mean_all = sum / taken as f64;
     let var_all = (sum_sq / taken as f64 - mean_all * mean_all).max(1e-12);
     let total_pairs = (n * (n - 1)) as f64;
-    let p = (n_g / total_pairs).clamp(1e-12, 1.0 - 1e-12);
-    let r = (p / (1.0 - p)).sqrt() * (mean_edge - mean_all) / var_all.sqrt();
-    (r.clamp(-1.0, 1.0), n_g)
+    n_g.iter()
+        .zip(&sum_edge)
+        .map(|(&n_g, &sum_edge)| {
+            if n_g == 0.0 {
+                return (0.0, 0.0);
+            }
+            let mean_edge = sum_edge / n_g;
+            let p = (n_g / total_pairs).clamp(1e-12, 1.0 - 1e-12);
+            let r = (p / (1.0 - p)).sqrt() * (mean_edge - mean_all) / var_all.sqrt();
+            (r.clamp(-1.0, 1.0), n_g)
+        })
+        .collect()
+}
+
+/// `Σ_k a[k]·b[k]` in ascending `k`, from `-0.0` as `Iterator::sum` starts.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(&a, &b)| a * b).sum()
+}
+
+/// Four [`dot`]s against `a` at once, each in its own accumulator (so each
+/// is the same ascending-`k` sum), which keeps four additions in flight.
+fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+    let mut acc = [-0.0f64; 4];
+    for ((((&a, &b0), &b1), &b2), &b3) in a.iter().zip(b[0]).zip(b[1]).zip(b[2]).zip(b[3]) {
+        acc[0] += a * b0;
+        acc[1] += a * b1;
+        acc[2] += a * b2;
+        acc[3] += a * b3;
+    }
+    acc
 }
 
 /// Computes the AMUD report for a directed adjacency matrix using the four
@@ -265,6 +340,9 @@ pub fn amud_score_with(
 /// determination is the support-weighted combination of the two debiased
 /// R² estimates, which keeps the guidance stable even when few labels are
 /// known — the situation the semi-supervised paradigm actually faces.
+///
+/// The four 2-hop operators come from the precompute store when it holds
+/// this adjacency's order-2 family, and are materialised otherwise.
 pub fn amud_score_profiles(
     adj: &CsrMatrix,
     labels: &[usize],
@@ -273,15 +351,20 @@ pub fn amud_score_profiles(
     features: Option<&DenseMatrix>,
     theta: f64,
 ) -> AmudReport {
-    amud_score_patterns(
-        adj,
-        labels,
-        n_classes,
-        labelled,
-        features,
-        DirectedPattern::two_order(),
-        theta,
-    )
+    score_family(&TwoHopFamily::of(adj), labels, n_classes, labelled, features, theta)
+}
+
+/// [`amud_score_profiles`] over an already-built order-2 family.
+pub(crate) fn score_family(
+    family: &TwoHopFamily,
+    labels: &[usize],
+    n_classes: usize,
+    labelled: Option<&[usize]>,
+    features: Option<&DenseMatrix>,
+    theta: f64,
+) -> AmudReport {
+    let (patterns, operators) = family.two_hop();
+    score_operators(patterns, &operators, labels, n_classes, labelled, features, theta)
 }
 
 /// Higher-order AMUD — the extension the paper sketches in Sec. III-C
@@ -298,48 +381,43 @@ pub fn amud_score_order(
     order: usize,
     theta: f64,
 ) -> AmudReport {
-    amud_score_patterns(
-        adj,
-        labels,
-        n_classes,
-        labelled,
-        features,
-        DirectedPattern::enumerate_order(order),
-        theta,
-    )
+    debug_assert_eq!(adj.n_rows(), adj.n_cols(), "AMUD runs on a square adjacency");
+    let patterns = DirectedPattern::enumerate_order(order);
+    let Ok(operators) = DirectedPattern::materialize_all(adj, &patterns) else {
+        // materialize_all only fails on a bool_matmul dimension mismatch,
+        // impossible for a square adjacency.
+        unreachable!("square adjacency materialises every pattern")
+    };
+    let operators: Vec<&CsrMatrix> = operators.iter().collect();
+    score_operators(patterns, &operators, labels, n_classes, labelled, features, theta)
 }
 
-/// Shared Eq. 4–8 core over an arbitrary pattern family.
-fn amud_score_patterns(
-    adj: &CsrMatrix,
+/// Shared Eq. 4–8 core over materialised pattern operators.
+fn score_operators(
+    patterns: Vec<DirectedPattern>,
+    operators: &[&CsrMatrix],
     labels: &[usize],
     n_classes: usize,
     labelled: Option<&[usize]>,
     features: Option<&DenseMatrix>,
-    patterns: Vec<DirectedPattern>,
     theta: f64,
 ) -> AmudReport {
-    debug_assert_eq!(adj.n_rows(), adj.n_cols(), "AMUD runs on a square adjacency");
+    let feature_rs = features.map(|x| feature_correlations(operators, x, 200_000, 0x5EED));
     let correlations: Vec<PatternCorrelation> = patterns
         .into_iter()
-        .map(|p| {
-            let op = match p.materialize(adj) {
-                Ok(op) => op,
-                // materialize only fails on a bool_matmul dimension
-                // mismatch, impossible for a square adjacency.
-                Err(_) => unreachable!("square adjacency materialises every pattern"),
-            };
+        .zip(operators)
+        .enumerate()
+        .map(|(i, (p, op))| {
             let (r, support) =
-                pattern_label_correlation_with_support(&op, labels, n_classes, labelled);
+                pattern_label_correlation_with_support(op, labels, n_classes, labelled);
             let r_squared = r * r;
             // Support-weighted blend of the label and feature profiles:
             // labels see only labelled pairs, features all pairs, so each
             // profile's evidence is weighted by its sample size.
-            let (r_squared_combined, eff_support) = match features {
+            let (r_squared_combined, eff_support) = match &feature_rs {
                 None => (r_squared, support),
-                Some(x) => {
-                    let (rf, sup_f) =
-                        pattern_feature_correlation_with_support(&op, x, 200_000, 0x5EED);
+                Some(feature_rs) => {
+                    let (rf, sup_f) = feature_rs[i];
                     let (w_l, w_f) = (support.max(0.0), sup_f.max(0.0));
                     if w_l + w_f > 0.0 {
                         ((w_l * r_squared + w_f * rf * rf) / (w_l + w_f), w_l + w_f)
@@ -414,14 +492,14 @@ pub fn guidance_score(r_squared: &[f64]) -> f64 {
 /// Ranks DP operators of a [`amud_graph::PatternSet`] by their label
 /// correlation, descending — the DP-selection rule of Sec. IV-B ("select
 /// G_d with a higher value of r").
-pub fn rank_patterns(
-    operators: &[CsrMatrix],
+pub fn rank_patterns<'a>(
+    operators: impl IntoIterator<Item = &'a CsrMatrix>,
     labels: &[usize],
     n_classes: usize,
     labelled: Option<&[usize]>,
 ) -> Vec<(usize, f64)> {
     let mut scored: Vec<(usize, f64)> = operators
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, op)| (i, pattern_label_correlation(op, labels, n_classes, labelled)))
         .collect();

@@ -14,7 +14,11 @@
 //!   [`amud_graph::DirectedPattern::materialize_all`], so `A·A`, `A·Aᵀ`,
 //!   `Aᵀ·A`, `Aᵀ·Aᵀ` (and every longer prefix) are each computed once per
 //!   graph; every `conv_r` a sweep visits re-normalises these in `O(nnz)`
-//!   instead of re-running sparse products.
+//!   instead of re-running sparse products. AMUD scores the same four
+//!   2-hop products: it reads the order-2 entry through [`TwoHopFamily`],
+//!   and on Paradigm II, where the prepared adjacency is the input one,
+//!   `prepare_topology` writes the family it scored there, so ADPA's
+//!   default `max_order = 2` build only re-normalises it.
 //! * **Normalised operator sets** — `Arc<PatternSet>` keyed additionally
 //!   by the `conv_r` bit pattern.
 //! * **Propagated features** — [`PropagatedFeatures`] keyed by the full
@@ -85,6 +89,57 @@ impl OpSetKey {
 struct RawOps {
     patterns: Vec<DirectedPattern>,
     operators: Vec<CsrMatrix>,
+}
+
+/// The order-≤2 DP family of one adjacency, as AMUD scores it: `A`, `Aᵀ`
+/// and the four 2-hop products. [`TwoHopFamily::of`] reads the RAW store
+/// entry `(fingerprint, 2)` when there is one, and otherwise materialises
+/// the family exactly as [`operators`] would on a miss, without storing
+/// it; [`TwoHopFamily::store`] writes it under that key.
+pub(crate) struct TwoHopFamily {
+    key: (u64, usize),
+    raw: Arc<RawOps>,
+}
+
+impl TwoHopFamily {
+    const ORDER: usize = 2;
+
+    /// The family of `adj`, from the store when the cache is on and holds
+    /// it. `adj` must be square (every pattern product is then defined).
+    pub(crate) fn of(adj: &CsrMatrix) -> Self {
+        debug_assert_eq!(adj.n_rows(), adj.n_cols(), "AMUD runs on a square adjacency");
+        let key = (fingerprint_csr(adj), Self::ORDER);
+        if let Some(raw) = amud_cache::enabled().then(|| raw_store().get(&key)).flatten() {
+            return Self { key, raw };
+        }
+        let patterns = DirectedPattern::enumerate_up_to(Self::ORDER);
+        let Ok(operators) = DirectedPattern::materialize_all(adj, &patterns) else {
+            // materialize_all only fails on a bool_matmul dimension
+            // mismatch, impossible for a square adjacency.
+            unreachable!("square adjacency materialises every pattern")
+        };
+        Self { key, raw: Arc::new(RawOps { patterns, operators }) }
+    }
+
+    /// The four 2-hop patterns and their operators, in
+    /// [`DirectedPattern::two_order`] order.
+    pub(crate) fn two_hop(&self) -> (Vec<DirectedPattern>, Vec<&CsrMatrix>) {
+        self.raw
+            .patterns
+            .iter()
+            .zip(&self.raw.operators)
+            .filter(|(p, _)| p.order() == Self::ORDER)
+            .map(|(p, op)| (p.clone(), op))
+            .unzip()
+    }
+
+    /// Stores the family for later [`operators`] requests on the same
+    /// adjacency (a no-op with the cache off).
+    pub(crate) fn store(self) {
+        if amud_cache::enabled() {
+            raw_store().insert(self.key, self.raw);
+        }
+    }
 }
 
 fn raw_store() -> &'static SharedStore<(u64, usize), Arc<RawOps>> {
@@ -187,6 +242,12 @@ pub fn propagated(
             Ok(computed)
         }
     }
+}
+
+/// Whether the RAW store holds the order-`max_order` family of `adj`.
+#[cfg(test)]
+pub(crate) fn raw_stored(adj: &CsrMatrix, max_order: usize) -> bool {
+    raw_store().get(&(fingerprint_csr(adj), max_order)).is_some()
 }
 
 /// Drops every cached artifact — the cold-start reset used by

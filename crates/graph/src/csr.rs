@@ -398,28 +398,45 @@ impl CsrMatrix {
 
     /// Removes any diagonal entries (self-loops).
     pub fn without_diagonal(&self) -> CsrMatrix {
-        let triplets = self.iter().filter(|&(r, c, _)| r != c);
-        let Ok(m) = CsrMatrix::from_coo(self.n_rows, self.n_cols, triplets) else {
-            // `iter` yields indices already validated at construction.
-            unreachable!("entries of a valid matrix remain in bounds")
-        };
-        m
+        self.filter_entries(|r, c| r != c)
     }
 
     /// Adds self-loops with weight `w` (overwriting any existing diagonal).
+    ///
+    /// One pass over the rows: each row keeps its off-diagonal entries in
+    /// order and gets `(r, r, w)` at its sorted position, so the result is
+    /// the canonical CSR of those entries without a sort.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn with_self_loops(&self, w: f32) -> CsrMatrix {
         assert_eq!(self.n_rows, self.n_cols, "self-loops require a square matrix");
-        let triplets =
-            self.iter().filter(|&(r, c, _)| r != c).chain((0..self.n_rows).map(|i| (i, i, w)));
-        let Ok(m) = CsrMatrix::from_coo(self.n_rows, self.n_cols, triplets) else {
-            // Existing entries are valid, and the added diagonal is bounded
-            // by the square-shape assert above.
-            unreachable!("entries of a valid matrix remain in bounds")
-        };
-        m
+        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(self.nnz() + self.n_rows);
+        let mut values = Vec::with_capacity(self.nnz() + self.n_rows);
+        for r in 0..self.n_rows {
+            let diag = r as u32;
+            let mut placed = false;
+            for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
+                if c == diag {
+                    continue;
+                }
+                if !placed && c > diag {
+                    col_idx.push(diag);
+                    values.push(w);
+                    placed = true;
+                }
+                col_idx.push(c);
+                values.push(v);
+            }
+            if !placed {
+                col_idx.push(diag);
+                values.push(w);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { n_rows: self.n_rows, n_cols: self.n_cols, row_ptr, col_idx, values }
     }
 
     /// Row sums (weighted out-degrees for an adjacency matrix).
@@ -496,15 +513,25 @@ impl CsrMatrix {
     }
 
     /// Keeps only entries for which `keep(row, col)` returns true.
+    ///
+    /// One pass over the rows: the survivors of a sorted, duplicate-free
+    /// row are still sorted and duplicate-free, so they are copied in
+    /// order.
     pub fn filter_entries(&self, mut keep: impl FnMut(usize, usize) -> bool) -> CsrMatrix {
-        let triplets: Vec<(usize, usize, f32)> =
-            self.iter().filter(|&(r, c, _)| keep(r, c)).collect();
-        let Ok(m) = CsrMatrix::from_coo(self.n_rows, self.n_cols, triplets) else {
-            // Filtering only drops entries; survivors were validated at
-            // construction.
-            unreachable!("entries of a valid matrix remain in bounds")
-        };
-        m
+        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        for r in 0..self.n_rows {
+            for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
+                if keep(r, c as usize) {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { n_rows: self.n_rows, n_cols: self.n_cols, row_ptr, col_idx, values }
     }
 
     /// Structural equality of the sparsity pattern (ignores values).

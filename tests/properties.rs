@@ -14,6 +14,23 @@ fn edges(n: usize, max_m: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..max_m)
 }
 
+/// Strategy: random weighted COO triplets over an `n × n` matrix
+/// (duplicates allowed; `from_coo` sums them).
+fn weighted(n: usize, max_m: usize) -> impl Strategy<Value = Vec<(usize, usize, f32)>> {
+    prop::collection::vec((0..n, 0..n, -2.0f32..2.0), 0..max_m)
+}
+
+/// Every stored entry with its value's bits, row-major: equal lists mean
+/// equal matrices bit for bit (the row structure included).
+fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u32)> {
+    m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+}
+
+/// The `from_coo` rebuild the single-pass row filters replaced.
+fn rebuilt(m: &CsrMatrix, triplets: Vec<(usize, usize, f32)>) -> CsrMatrix {
+    CsrMatrix::from_coo(m.n_rows(), m.n_cols(), triplets).unwrap()
+}
+
 /// Strategy: random labels over `n` nodes with `c` classes.
 fn labels(n: usize, c: usize) -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0..c, n)
@@ -39,6 +56,24 @@ proptest! {
             let cols = m.row_cols(r);
             prop_assert!(cols.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn row_filters_match_the_coo_rebuild(
+        list in weighted(16, 90),
+        w in -2.0f32..2.0,
+        salt in 0usize..5,
+    ) {
+        let m = CsrMatrix::from_coo(16, 16, list).unwrap();
+        let off_diagonal: Vec<_> = m.iter().filter(|&(r, c, _)| r != c).collect();
+        let want = rebuilt(&m, off_diagonal.clone());
+        prop_assert_eq!(entry_bits(&m.without_diagonal()), entry_bits(&want));
+        let loops = off_diagonal.into_iter().chain((0..16).map(|i| (i, i, w))).collect();
+        let want = rebuilt(&m, loops);
+        prop_assert_eq!(entry_bits(&m.with_self_loops(w)), entry_bits(&want));
+        let keep = |r: usize, c: usize| (r * 7 + c * 3 + salt) % 3 != 0;
+        let want = rebuilt(&m, m.iter().filter(|&(r, c, _)| keep(r, c)).collect());
+        prop_assert_eq!(entry_bits(&m.filter_entries(keep)), entry_bits(&want));
     }
 
     #[test]
