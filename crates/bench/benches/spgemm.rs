@@ -27,8 +27,8 @@ fn bench_two_order_patterns(c: &mut Criterion) {
             b.iter(|| {
                 DirectedPattern::two_order()
                     .iter()
-                    .map(|p| p.materialize(&a).expect("square").nnz())
-                    .sum::<usize>()
+                    .map(|p| p.materialize(&a).map(|m| m.nnz()))
+                    .sum::<Result<usize, _>>()
             })
         });
     }

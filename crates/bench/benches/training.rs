@@ -32,7 +32,8 @@ fn bench_epoch_cost(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("adpa_decoupled", |b| {
-        let mut model = Adpa::new(&data, AdpaConfig::default(), 0).unwrap();
+        let mut model = Adpa::new(&data, AdpaConfig::default(), 0)
+            .unwrap_or_else(|e| panic!("ADPA construction: {e}"));
         let mut adam = Adam::new(0.01);
         let mut rng = StdRng::seed_from_u64(0);
         b.iter(|| one_epoch(&mut model, &data, &mut adam, &mut rng));
@@ -56,7 +57,7 @@ fn bench_preprocessing_once(c: &mut Criterion) {
     let mut group = c.benchmark_group("setup");
     group.sample_size(10);
     group.bench_function("adpa_construction", |b| {
-        b.iter(|| Adpa::new(&data, AdpaConfig::default(), 0).unwrap().n_parameters())
+        b.iter(|| Adpa::new(&data, AdpaConfig::default(), 0).map(|m| m.n_parameters()))
     });
     group.finish();
 }

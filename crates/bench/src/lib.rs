@@ -18,7 +18,7 @@
 //! | `fig7`   | Fig. 7 — sparsity robustness |
 //! | `bench-kernels` | serial vs parallel kernel timings → `BENCH_kernels.json` |
 //! | `bench-precompute` | uncached/cold/warm sweep cost → `BENCH_precompute.json` |
-//! | `bench-serve` | serving latency, QPS and fault paths → `BENCH_serve.json` |
+//! | `bench-serve` | serving latency and QPS → `BENCH_serve.json` |
 //! | `bench-quant` | int8 artifact bytes, decode-then-matmul, accuracy → `BENCH_quant.json` |
 //!
 //! The four `bench-*` binaries share their flag parsing ([`bench_args`]);
@@ -84,8 +84,9 @@ pub fn verify_tape_requested() -> bool {
 }
 
 /// Runs [`amud_train::verify_model`] on `model` and prints the findings
-/// under the given label. Exits the process on error-severity findings —
-/// the tape would panic mid-kernel anyway, this way it dies with a report.
+/// under the given label. Exits the process on error-severity findings (a
+/// NaN or Inf in the forward), so the run dies with a report instead of
+/// training on garbage.
 pub fn report_verification(label: &str, model: &dyn amud_train::Model, input: &GraphData) {
     use amud_nn::verify::{has_errors, render, Severity};
     let diags = amud_train::verify_model(model, input, 0);

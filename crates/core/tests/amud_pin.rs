@@ -75,7 +75,7 @@ fn bundle(name: &str) -> GraphData {
         d.split.val.clone(),
         d.split.test.clone(),
     )
-    .expect("replica splits are valid")
+    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn report_bits(report: &AmudReport) -> (u64, Vec<[u64; 4]>) {

@@ -31,7 +31,10 @@ fn seeded_adj(n: usize, seed: u64) -> CsrMatrix {
         .map(|_| (rng.gen_range(0..n as u64) as usize, rng.gen_range(0..n as u64) as usize))
         .filter(|(u, v)| u != v)
         .collect();
-    CsrMatrix::from_edges(n, n, edges).expect("indices are in range by construction")
+    let Ok(adj) = CsrMatrix::from_edges(n, n, edges) else {
+        unreachable!("indices are in range by construction")
+    };
+    adj
 }
 
 fn seeded_x(n: usize, f: usize, seed: u64) -> DenseMatrix {
@@ -167,12 +170,15 @@ fn bundle(n: usize, seed: u64) -> GraphData {
         .filter(|(u, v)| u != v)
         .collect();
     let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3u64) as usize).collect();
-    let g = DiGraph::from_edges(n, edges).unwrap().with_labels(labels, 3).unwrap();
+    let g = DiGraph::from_edges(n, edges)
+        .and_then(|g| g.with_labels(labels, 3))
+        .unwrap_or_else(|e| panic!("seeded graph does not build: {e}"));
     let features = seeded_x(n, 8, seed ^ 0x51de);
     let ids: Vec<usize> = (0..n).collect();
     let (train, rest) = ids.split_at(n / 2);
     let (val, test) = rest.split_at(rest.len() / 2);
-    GraphData::new(&g, features, train.to_vec(), val.to_vec(), test.to_vec()).unwrap()
+    GraphData::new(&g, features, train.to_vec(), val.to_vec(), test.to_vec())
+        .unwrap_or_else(|e| panic!("seeded bundle does not assemble: {e}"))
 }
 
 /// Model-level equivalence: an `Adpa` built with the cache enabled (twice,

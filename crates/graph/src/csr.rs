@@ -455,30 +455,26 @@ impl CsrMatrix {
         sums
     }
 
-    /// Scales each row `r` by `scale[r]`.
-    pub fn scale_rows(&self, scale: &[f32]) -> CsrMatrix {
-        assert_eq!(scale.len(), self.n_rows, "scale_rows: length mismatch");
-        let mut out = self.clone();
-        // CSR invariant — row_ptr holds n_rows + 1
-        // ascending offsets capped by values.len(); enumerate keeps r < n_rows.
-        for (r, &s) in scale.iter().enumerate() {
-            for v in &mut out.values[out.row_ptr[r]..out.row_ptr[r + 1]] {
-                *v *= s;
+    /// Scales each entry `(r, c)` by `row_scale[r]` and then by
+    /// `col_scale[c]`, in one pass: `(v · row_scale[r]) · col_scale[c]`.
+    pub fn scaled(&self, row_scale: &[f32], col_scale: &[f32]) -> CsrMatrix {
+        assert_eq!(row_scale.len(), self.n_rows, "scaled: row scale length mismatch");
+        assert_eq!(col_scale.len(), self.n_cols, "scaled: col scale length mismatch");
+        let mut values = Vec::with_capacity(self.nnz());
+        // Stored column indices are < n_cols by the CSR invariant and
+        // col_scale.len() == n_cols is asserted above.
+        for (r, &rs) in row_scale.iter().enumerate() {
+            for (&v, &c) in self.row_values(r).iter().zip(self.row_cols(r)) {
+                values.push(v * rs * col_scale[c as usize]);
             }
         }
-        out
-    }
-
-    /// Scales each column `c` by `scale[c]`.
-    pub fn scale_cols(&self, scale: &[f32]) -> CsrMatrix {
-        assert_eq!(scale.len(), self.n_cols, "scale_cols: length mismatch");
-        let mut out = self.clone();
-        // Stored column indices are < n_cols by the CSR
-        // invariant and scale.len() == n_cols is asserted above.
-        for (v, &c) in out.values.iter_mut().zip(&out.col_idx) {
-            *v *= scale[c as usize];
+        CsrMatrix {
+            n_rows: self.n_rows,
+            n_cols: self.n_cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values,
         }
-        out
     }
 
     /// GCN-style degree normalisation `D^{r-1} Â D^{-r}` (Eq. 1 of the
@@ -497,7 +493,7 @@ impl CsrMatrix {
             row_deg.iter().map(|&d| if d > 0.0 { d.powf(r - 1.0) } else { 0.0 }).collect();
         let col_scale: Vec<f32> =
             col_deg.iter().map(|&d| if d > 0.0 { d.powf(-r) } else { 0.0 }).collect();
-        self.scale_rows(&row_scale).scale_cols(&col_scale)
+        self.scaled(&row_scale, &col_scale)
     }
 
     /// Row-stochastic normalisation `D⁻¹ A` — each row sums to 1 (or stays

@@ -31,7 +31,10 @@ fn skewed_csr(n: usize, seed: u64) -> CsrMatrix {
             edges.push((r, rng.gen_range(0..n as u64) as usize, rng.gen_range(-1.0f32..1.0)));
         }
     }
-    CsrMatrix::from_coo(n, n, edges).expect("generated indices are in bounds")
+    let Ok(m) = CsrMatrix::from_coo(n, n, edges) else {
+        unreachable!("generated indices are in bounds")
+    };
+    m
 }
 
 fn dense(rows: usize, cols: usize, seed: u64) -> Vec<f32> {

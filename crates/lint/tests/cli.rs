@@ -14,7 +14,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_amud-lint")).args(args).output().expect("spawn amud-lint")
+    Command::new(env!("CARGO_BIN_EXE_amud-lint"))
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn amud-lint: {e}"))
 }
 
 fn fixture(name: &str) -> String {
@@ -24,7 +27,7 @@ fn fixture(name: &str) -> String {
 /// A scratch dir unique to this test process.
 fn scratch() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("amud-lint-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
     dir
 }
 

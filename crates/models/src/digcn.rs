@@ -48,9 +48,9 @@ pub fn digcn_operator(adj: &CsrMatrix, alpha: f32) -> SparseOp {
     let sqrt_pi: Vec<f32> = pi.iter().map(|&x| x.max(1e-12).sqrt()).collect();
     let inv_sqrt_pi: Vec<f32> = sqrt_pi.iter().map(|&x| 1.0 / x).collect();
     // Π^{1/2} P Π^{-1/2}
-    let left = p.scale_rows(&sqrt_pi).scale_cols(&inv_sqrt_pi);
+    let left = p.scaled(&sqrt_pi, &inv_sqrt_pi);
     // Π^{-1/2} Pᵀ Π^{1/2}
-    let right = p.transpose().scale_rows(&inv_sqrt_pi).scale_cols(&sqrt_pi);
+    let right = p.transpose().scaled(&inv_sqrt_pi, &sqrt_pi);
     let Ok(sym) = left.add_scaled(0.5, &right, 0.5) else {
         unreachable!("left and right are both rescalings of P, so shapes match")
     };

@@ -47,4 +47,4 @@ pub use matrix::DenseMatrix;
 pub use optim::{Adam, Param, ParamBank, ParamId};
 pub use rows::Rows;
 pub use tape::{NodeId, SparseOp, Tape};
-pub use verify::{Diagnostic, GraphSpec, Rule, Severity, TapeVerifier};
+pub use verify::{Diagnostic, Rule, Severity};

@@ -57,7 +57,7 @@ impl SparseOp {
     }
 }
 
-enum Op {
+pub(crate) enum Op {
     /// Constant or parameter leaf. If `param` is set, `apply_grads` flushes
     /// the accumulated gradient back to the bank.
     Leaf {
@@ -138,6 +138,39 @@ enum Op {
     },
 }
 
+impl Op {
+    /// The operand node ids, in the order the op consumes them.
+    pub(crate) fn inputs(&self) -> Vec<NodeId> {
+        match self {
+            Op::Leaf { .. } => vec![],
+            Op::MatMul(a, b)
+            | Op::MatMulTransB(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddBias { x: a, bias: b }
+            | Op::ScalarScale { x: a, w: b, .. }
+            | Op::ColScale { x: a, w: b, .. } => vec![*a, *b],
+            Op::SpMM { x, .. }
+            | Op::Scale(x, _)
+            | Op::Relu(x)
+            | Op::LeakyRelu(x, _)
+            | Op::Sigmoid(x)
+            | Op::Tanh(x)
+            | Op::Dropout { x, .. }
+            | Op::SliceCols { x, .. }
+            | Op::GatherRows { x, .. }
+            | Op::RowSoftmax(x)
+            | Op::MeanAll(x)
+            | Op::MaskedCrossEntropy { logits: x, .. } => vec![*x],
+            Op::ConcatCols(parts) => parts.clone(),
+            Op::GatAttention { src_scores, dst_scores, h, .. } => {
+                vec![*src_scores, *dst_scores, *h]
+            }
+        }
+    }
+}
+
 struct Node {
     value: DenseMatrix,
     grad: Option<DenseMatrix>,
@@ -151,23 +184,11 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    /// When set, every recorded op's output is scanned for NaN/±Inf under
-    /// `debug_assertions` (see [`Tape::enable_finite_monitor`]).
-    finite_monitor: bool,
 }
 
 impl Tape {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Opt-in finiteness monitor: after this call, recording an op whose
-    /// output contains NaN or ±Inf trips a `debug_assert!` naming the node
-    /// — catching the *first* op that goes non-finite instead of a loss
-    /// that is mysteriously NaN hundreds of nodes later. Free in release
-    /// builds.
-    pub fn enable_finite_monitor(&mut self) {
-        self.finite_monitor = true;
     }
 
     /// Number of recorded nodes.
@@ -184,6 +205,11 @@ impl Tape {
         &self.nodes[id].value
     }
 
+    /// The op that recorded a node (read by [`crate::verify`]).
+    pub(crate) fn op(&self, id: NodeId) -> &Op {
+        &self.nodes[id].op
+    }
+
     /// The gradient of a leaf (zero matrix if it never received one).
     /// Only meaningful after [`Tape::backward`], which keeps leaf
     /// gradients only: an interior node's is freed once propagated, and
@@ -194,16 +220,6 @@ impl Tape {
     }
 
     fn push(&mut self, value: DenseMatrix, op: Op, needs_grad: bool) -> NodeId {
-        if self.finite_monitor && cfg!(debug_assertions) {
-            let bad = value.as_slice().iter().filter(|v| !v.is_finite()).count();
-            debug_assert!(
-                bad == 0,
-                "finite monitor: node {} has {bad} non-finite entries in a {} × {} output",
-                self.nodes.len(),
-                value.rows(),
-                value.cols()
-            );
-        }
         self.nodes.push(Node { value, grad: None, op, needs_grad });
         self.nodes.len() - 1
     }
@@ -773,71 +789,6 @@ impl Tape {
         }
     }
 
-    /// Exports the op graph as a value-free [`crate::verify::GraphSpec`] for
-    /// static analysis by [`crate::verify::TapeVerifier`]. Node ids in the
-    /// spec are the tape's own [`NodeId`]s.
-    pub fn export_spec(&self) -> crate::verify::GraphSpec {
-        use crate::verify::{GraphSpec, NodeSpec, OpKind};
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let (op, inputs, param) = match &node.op {
-                    Op::Leaf { param } => (OpKind::Leaf, vec![], *param),
-                    Op::MatMul(a, b) => (OpKind::MatMul, vec![*a, *b], None),
-                    Op::MatMulTransB(a, b) => (OpKind::MatMulTransB, vec![*a, *b], None),
-                    Op::SpMM { op, x } => (
-                        OpKind::SpMM { op_rows: op.n_rows(), op_cols: op.n_cols() },
-                        vec![*x],
-                        None,
-                    ),
-                    Op::Add(a, b) => (OpKind::Add, vec![*a, *b], None),
-                    Op::Sub(a, b) => (OpKind::Sub, vec![*a, *b], None),
-                    Op::Mul(a, b) => (OpKind::Mul, vec![*a, *b], None),
-                    Op::AddBias { x, bias } => (OpKind::AddBias, vec![*x, *bias], None),
-                    Op::Scale(x, _) => (OpKind::Scale, vec![*x], None),
-                    Op::ScalarScale { x, w, idx } => {
-                        (OpKind::ScalarScale { idx: *idx }, vec![*x, *w], None)
-                    }
-                    Op::ColScale { x, w, col } => {
-                        (OpKind::ColScale { col: *col }, vec![*x, *w], None)
-                    }
-                    Op::Relu(x) | Op::LeakyRelu(x, _) | Op::Sigmoid(x) | Op::Tanh(x) => {
-                        (OpKind::Activation, vec![*x], None)
-                    }
-                    Op::Dropout { x, mask } => {
-                        (OpKind::Dropout { mask_len: mask.len() }, vec![*x], None)
-                    }
-                    Op::ConcatCols(parts) => (OpKind::ConcatCols, parts.clone(), None),
-                    Op::SliceCols { x, start, end } => {
-                        (OpKind::SliceCols { start: *start, end: *end }, vec![*x], None)
-                    }
-                    Op::GatherRows { x, rows } => {
-                        (OpKind::GatherRows { n: rows.n(), len: rows.len() }, vec![*x], None)
-                    }
-                    Op::RowSoftmax(x) => (OpKind::RowSoftmax, vec![*x], None),
-                    Op::MeanAll(x) => (OpKind::MeanAll, vec![*x], None),
-                    Op::GatAttention { adj, src_scores, dst_scores, h, .. } => (
-                        OpKind::GatAttention { n: adj.n_rows() },
-                        vec![*src_scores, *dst_scores, *h],
-                        None,
-                    ),
-                    Op::MaskedCrossEntropy { logits, labels, mask, .. } => (
-                        OpKind::MaskedCrossEntropy {
-                            n_labels: labels.len(),
-                            mask_len: mask.len(),
-                            mask_max: mask.iter().copied().max().unwrap_or(0),
-                        },
-                        vec![*logits],
-                        None,
-                    ),
-                };
-                NodeSpec { op, inputs, shape: node.value.shape(), param }
-            })
-            .collect();
-        GraphSpec { nodes }
-    }
-
     /// After `backward`, flushes every parameter leaf's accumulated gradient
     /// into the bank's gradient buffers (summing across multiple uses of the
     /// same parameter).
@@ -1065,6 +1016,14 @@ mod tests {
         let x = tape.constant(DenseMatrix::ones(3, 2));
         assert_eq!(tape.gather_rows(x, &Rows::all(3)), x);
         assert_eq!(tape.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "row universe")]
+    fn gather_rows_from_the_wrong_row_count_panics() {
+        let mut tape = Tape::new();
+        let x = tape.constant(DenseMatrix::ones(4, 3));
+        tape.gather_rows(x, &Rows::new(5, [0, 2]));
     }
 
     #[test]

@@ -851,6 +851,30 @@ mod tests {
     }
 
     #[test]
+    fn trickling_client_is_disconnected_while_others_are_served() {
+        let path = tmp_snap("slow", 6);
+        let server = Server::start(ServerConfig {
+            snapshot_path: path.clone(),
+            client_read_timeout_ms: 100,
+            ..Default::default()
+        })
+        .unwrap();
+        let (mut r, mut w) = connect(server.port());
+        let (mut slow_r, mut slow_w) = connect(server.port());
+        slow_w.write_all(b"PRED").unwrap(); // half a command, never finished
+        slow_w.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(300)); // > client_read_timeout_ms
+        let reply = roundtrip(&mut r, &mut w, "PREDICT 3");
+        assert!(reply.starts_with("OK "), "{reply}");
+        // The server hung up on the trickling client: its read ends at EOF.
+        slow_r.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut rest = String::new();
+        assert_eq!(slow_r.read_line(&mut rest).unwrap(), 0, "{rest}");
+        server.stop();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_snapshot_fails_start_with_typed_error_after_retries() {
         let cfg = ServerConfig {
             snapshot_path: PathBuf::from("/nonexistent/amud-model.snap"),

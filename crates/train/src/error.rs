@@ -32,7 +32,7 @@ pub enum TrainError {
         retries: usize,
     },
     /// The tape verifier (`--verify-tape` in the CLI and the bench
-    /// binaries) rejected the model's op graph before training.
+    /// binaries) rejected the model's recorded tape before training.
     VerifierRejected {
         /// Model name as reported by [`crate::Model::name`].
         model: String,

@@ -22,7 +22,7 @@ use crate::error::TrainError;
 use crate::faults::FaultPlan;
 use crate::metrics::{accuracy, Summary};
 use crate::model::Model;
-use amud_nn::verify::{Diagnostic, TapeVerifier};
+use amud_nn::verify::{verify_tape, Diagnostic};
 use amud_nn::{Adam, ParamBank, Rows, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -195,17 +195,17 @@ pub fn train_with_faults(
 }
 
 /// Records one evaluation-mode forward pass (plus the training loss) and
-/// statically verifies the resulting op graph — shape inference, gradient
-/// reachability of every parameter, dangling nodes. Returns the verifier's
-/// findings; an empty vector means the graph is clean. The trainer does
-/// not call this; the CLI and the bench binaries run it on
+/// verifies the recorded tape — gradient reachability of every parameter,
+/// dangling nodes, duplicate operands, non-finite values. Returns the
+/// verifier's findings; an empty vector means the tape is clean. The
+/// trainer does not call this; the CLI and the bench binaries run it on
 /// `--verify-tape`, and `tests/verify_models.rs` runs it on every model.
 pub fn verify_model(model: &dyn Model, data: &GraphData, seed: u64) -> Vec<Diagnostic> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tape = Tape::new();
     let logits = model.forward(&mut tape, data, false, &mut rng);
     let loss = tape.masked_cross_entropy(logits, Rc::clone(&data.labels), Rc::clone(&data.train));
-    TapeVerifier::new().verify(&tape, loss)
+    verify_tape(&tape, loss)
 }
 
 fn train_inner(

@@ -13,7 +13,7 @@ use amud_repro::graph::measures::homophily_report;
 use amud_repro::models::registry::build_model;
 use amud_repro::train::{repeat_runs, GraphData, TrainConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = replica("cora_ml", ReplicaScale::default(), 11);
     let data = GraphData::new(
         &dataset.graph,
@@ -21,8 +21,7 @@ fn main() {
         dataset.split.train.clone(),
         dataset.split.val.clone(),
         dataset.split.test.clone(),
-    )
-    .expect("replica bundles are well-formed");
+    )?;
 
     // Homophily audit, directed vs undirected view (Table I's comparison).
     let d_report = homophily_report(&dataset.graph);
@@ -75,4 +74,5 @@ fn main() {
     // paper's "feasible for both scenarios" claim).
     let out = repeat_runs(|s| Adpa::new(&prepared, AdpaConfig::default(), s), &prepared, cfg, 3, 0);
     println!("  {:<10} test acc {}", "ADPA", out.summary);
+    Ok(())
 }

@@ -9,7 +9,7 @@ use amud_repro::core::{amud::AmudDecision, paradigm, Adpa, AdpaConfig};
 use amud_repro::datasets::{replica, ReplicaScale};
 use amud_repro::train::{train, GraphData, TrainConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A "newly collected" digraph: the Chameleon replica — heterophilous
     //    wiki-page network whose edge *orientation* carries class signal.
     let dataset = replica("chameleon", ReplicaScale::default(), 7);
@@ -19,8 +19,7 @@ fn main() {
         dataset.split.train.clone(),
         dataset.split.val.clone(),
         dataset.split.test.clone(),
-    )
-    .expect("replica bundles are well-formed");
+    )?;
     println!(
         "dataset: {} ({} nodes, {} directed edges, {} classes)",
         dataset.name(),
@@ -43,7 +42,7 @@ fn main() {
     assert_eq!(report.decision, AmudDecision::Directed, "chameleon should stay directed");
 
     // 3. Train ADPA on the prepared topology.
-    let mut model = Adpa::new(&prepared, AdpaConfig::default(), 0).unwrap();
+    let mut model = Adpa::new(&prepared, AdpaConfig::default(), 0)?;
     println!(
         "\nADPA: {} DP operators {:?}, {} parameters",
         model.pattern_names().len(),
@@ -57,9 +56,10 @@ fn main() {
         weight_decay: 5e-4,
         ..TrainConfig::default()
     };
-    let result = train(&mut model, &prepared, cfg, 0).expect("training diverged");
+    let result = train(&mut model, &prepared, cfg, 0)?;
     println!(
         "trained {} epochs — best val acc {:.3}, test acc {:.3}",
         result.epochs_run, result.best_val_acc, result.test_acc
     );
+    Ok(())
 }

@@ -14,7 +14,7 @@ use amud_repro::graph::patterns::PatternSet;
 use amud_repro::models::{dirgnn::DirGnn, gcn::Gcn};
 use amud_repro::train::{train, GraphData, TrainConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = replica("texas", ReplicaScale::default(), 5);
     let data = GraphData::new(
         &dataset.graph,
@@ -22,8 +22,7 @@ fn main() {
         dataset.split.train.clone(),
         dataset.split.val.clone(),
         dataset.split.test.clone(),
-    )
-    .expect("replica bundles are well-formed");
+    )?;
 
     // AMUD: strongly oriented heterophily → keep the digraph.
     let (prepared, report, par) = paradigm::prepare_topology(&data);
@@ -31,7 +30,7 @@ fn main() {
     assert_eq!(par, Paradigm::II);
 
     // Which directed patterns carry the signal? (Sec. IV-B DP selection.)
-    let patterns = PatternSet::up_to_order(&data.adj, 2).expect("square adjacency");
+    let patterns = PatternSet::up_to_order(&data.adj, 2)?;
     let ranked =
         rank_patterns(patterns.operators(), &data.labels, data.n_classes, Some(&data.train));
     println!("\nDP operators ranked by label correlation:");
@@ -51,17 +50,18 @@ fn main() {
 
     let undirected = data.to_undirected();
     let mut gcn = Gcn::new(&undirected, 64, 0.4, 0);
-    let gcn_acc = train(&mut gcn, &undirected, cfg, 0).expect("training diverged").test_acc;
+    let gcn_acc = train(&mut gcn, &undirected, cfg, 0)?.test_acc;
 
     let mut dirgnn = DirGnn::new(&prepared, 64, 0.4, 0);
-    let dir_acc = train(&mut dirgnn, &prepared, cfg, 0).expect("training diverged").test_acc;
+    let dir_acc = train(&mut dirgnn, &prepared, cfg, 0)?.test_acc;
 
-    let mut adpa = Adpa::new(&prepared, AdpaConfig::default(), 0).unwrap();
-    let adpa_acc = train(&mut adpa, &prepared, cfg, 0).expect("training diverged").test_acc;
+    let mut adpa = Adpa::new(&prepared, AdpaConfig::default(), 0)?;
+    let adpa_acc = train(&mut adpa, &prepared, cfg, 0)?.test_acc;
 
     println!("\ntest accuracy:");
     println!("  U-GCN    {gcn_acc:.3}   (coarse undirected transformation)");
     println!("  D-DirGNN {dir_acc:.3}   (natural digraph)");
     println!("  D-ADPA   {adpa_acc:.3}   (natural digraph, DP attention)");
     println!("\nExpected: the directed models exploit orientation that U-GCN destroyed.");
+    Ok(())
 }

@@ -20,7 +20,7 @@ fn bundle(name: &str, seed: u64) -> GraphData {
         d.split.val.clone(),
         d.split.test.clone(),
     )
-    .unwrap()
+    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn cfg(epochs: usize) -> TrainConfig {
@@ -171,7 +171,7 @@ fn amud_cli(args: &[&str]) -> std::process::Output {
         .env("AMUD_SCALE", "tiny")
         .env("AMUD_EPOCHS", "5")
         .output()
-        .expect("spawning the amud binary")
+        .unwrap_or_else(|e| panic!("spawning the amud binary: {e}"))
 }
 
 #[test]

@@ -41,7 +41,7 @@ fn bundle(name: &str, seed: u64) -> GraphData {
         d.split.val.clone(),
         d.split.test.clone(),
     )
-    .unwrap()
+    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn cfg() -> TrainConfig {

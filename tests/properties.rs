@@ -28,7 +28,10 @@ fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u32)> {
 
 /// The `from_coo` rebuild the single-pass row filters replaced.
 fn rebuilt(m: &CsrMatrix, triplets: Vec<(usize, usize, f32)>) -> CsrMatrix {
-    CsrMatrix::from_coo(m.n_rows(), m.n_cols(), triplets).unwrap()
+    let Ok(out) = CsrMatrix::from_coo(m.n_rows(), m.n_cols(), triplets) else {
+        unreachable!("every triplet indexes inside m's shape")
+    };
+    out
 }
 
 /// Strategy: random labels over `n` nodes with `c` classes.
@@ -63,6 +66,8 @@ proptest! {
         list in weighted(16, 90),
         w in -2.0f32..2.0,
         salt in 0usize..5,
+        row_scale in prop::collection::vec(-2.0f32..2.0, 16),
+        col_scale in prop::collection::vec(-2.0f32..2.0, 16),
     ) {
         let m = CsrMatrix::from_coo(16, 16, list).unwrap();
         let off_diagonal: Vec<_> = m.iter().filter(|&(r, c, _)| r != c).collect();
@@ -71,9 +76,15 @@ proptest! {
         let loops = off_diagonal.into_iter().chain((0..16).map(|i| (i, i, w))).collect();
         let want = rebuilt(&m, loops);
         prop_assert_eq!(entry_bits(&m.with_self_loops(w)), entry_bits(&want));
-        let keep = |r: usize, c: usize| (r * 7 + c * 3 + salt) % 3 != 0;
+        let keep = |r: usize, c: usize| !(r * 7 + c * 3 + salt).is_multiple_of(3);
         let want = rebuilt(&m, m.iter().filter(|&(r, c, _)| keep(r, c)).collect());
         prop_assert_eq!(entry_bits(&m.filter_entries(keep)), entry_bits(&want));
+        // `scaled` against scaling every row, then every column.
+        let two_pass: Vec<_> = m
+            .iter()
+            .map(|(r, c, v)| (r, c, ((v * row_scale[r]) * col_scale[c]).to_bits()))
+            .collect();
+        prop_assert_eq!(entry_bits(&m.scaled(&row_scale, &col_scale)), two_pass);
     }
 
     #[test]

@@ -89,7 +89,8 @@ fn full_graph_train(model: &mut dyn Model, data: &GraphData, cfg: TrainConfig, s
 }
 
 fn row_local_train(model: &mut dyn Model, data: &GraphData, cfg: TrainConfig, seed: u64) -> Trace {
-    let r = train_with_curve(model, data, cfg, seed).expect("row-local run trains");
+    let r = train_with_curve(model, data, cfg, seed)
+        .unwrap_or_else(|e| panic!("the row-local run does not train: {e}"));
     let curve = r
         .curve
         .iter()
@@ -137,7 +138,7 @@ fn bundle(name: &str, scale: ReplicaScale, seed: u64) -> GraphData {
         d.split.val.clone(),
         d.split.test.clone(),
     )
-    .expect("replica bundle is well-formed")
+    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn cfg(epochs: usize) -> TrainConfig {

@@ -31,7 +31,8 @@ fn scratch(name: &str) -> PathBuf {
 /// Writes a valid synthetic snapshot and returns its path.
 fn make_snapshot(name: &str, seed: u64) -> PathBuf {
     let path = scratch(&format!("{name}.snap"));
-    write_snapshot(&path, &synthetic_snapshot(seed, 20, 4, 2, 2, 8, 0)).expect("write snapshot");
+    write_snapshot(&path, &synthetic_snapshot(seed, 20, 4, 2, 2, 8, 0))
+        .unwrap_or_else(|e| panic!("write snapshot: {e}"));
     path
 }
 
@@ -51,11 +52,11 @@ impl ServerProc {
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
-            .expect("spawn amud serve");
-        let stdout = child.stdout.take().expect("piped stdout");
+            .unwrap_or_else(|e| panic!("spawn amud serve: {e}"));
+        let Some(stdout) = child.stdout.take() else { panic!("amud serve stdout is not piped") };
         let mut reader = BufReader::new(stdout);
         let mut line = String::new();
-        reader.read_line(&mut line).expect("read listening line");
+        reader.read_line(&mut line).unwrap_or_else(|e| panic!("read listening line: {e}"));
         let port = line
             .trim()
             .rsplit(':')
@@ -111,20 +112,23 @@ struct Client {
 
 impl Client {
     fn connect(port: u16) -> Client {
-        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
-        Client { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream }
+        let open = || -> std::io::Result<Client> {
+            let stream = TcpStream::connect(("127.0.0.1", port))?;
+            stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+            Ok(Client { reader: BufReader::new(stream.try_clone()?), writer: stream })
+        };
+        open().unwrap_or_else(|e| panic!("connect to port {port}: {e}"))
     }
 
     fn send(&mut self, cmd: &str) {
-        writeln!(self.writer, "{cmd}").expect("send");
-        self.writer.flush().expect("flush");
+        let sent = writeln!(self.writer, "{cmd}").and_then(|()| self.writer.flush());
+        sent.unwrap_or_else(|e| panic!("send {cmd:?}: {e}"));
     }
 
     fn recv(&mut self) -> String {
         let mut line = String::new();
-        self.reader.read_line(&mut line).expect("recv");
+        self.reader.read_line(&mut line).unwrap_or_else(|e| panic!("recv: {e}"));
         line.trim().to_string()
     }
 

@@ -1,5 +1,5 @@
-//! Every model the repo ships must record a statically clean tape: shapes
-//! consistent, every parameter reachable from the loss, no dangling nodes.
+//! Every model the repo ships must record a clean tape: every parameter
+//! reachable from the loss, no dangling nodes, no non-finite values.
 //! This is the acceptance gate for the `amud_nn::verify` pass — a model
 //! whose parameters silently receive zero gradient would train as a
 //! strictly smaller model without any test noticing.
@@ -21,7 +21,7 @@ fn bundle(name: &str, seed: u64) -> GraphData {
         d.split.val.clone(),
         d.split.test.clone(),
     )
-    .unwrap()
+    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn assert_clean(name: &str, dataset: &str, diags: &[amud_repro::nn::Diagnostic]) {
@@ -81,7 +81,7 @@ fn adpa_ablations_verify_clean() {
 #[test]
 fn adpa_row_local_tape_verifies_clean() {
     use amud_repro::core::DpAttention;
-    use amud_repro::nn::verify::TapeVerifier;
+    use amud_repro::nn::verify::verify_tape;
     use amud_repro::nn::{Rows, Tape};
     use amud_repro::train::Model;
     use rand::rngs::StdRng;
@@ -103,7 +103,58 @@ fn adpa_row_local_tape_verifies_clean() {
         assert_eq!(tape.value(logits).rows(), rows.len());
         let loss =
             tape.masked_cross_entropy(logits, Rc::new(labels.clone()), Rc::new(mask.clone()));
-        let diags = TapeVerifier::new().with_value_check().verify(&tape, loss);
+        let diags = verify_tape(&tape, loss);
         assert_clean(&format!("ADPA/{variant:?} row-local"), "chameleon", &diags);
     }
+}
+
+/// Logistic regression over the raw features: one `Linear` layer, whose
+/// bias the NaN test poisons.
+struct LogReg {
+    bank: amud_repro::nn::ParamBank,
+    linear: amud_repro::nn::Linear,
+}
+
+impl amud_repro::train::Model for LogReg {
+    fn bank(&self) -> &amud_repro::nn::ParamBank {
+        &self.bank
+    }
+    fn bank_mut(&mut self) -> &mut amud_repro::nn::ParamBank {
+        &mut self.bank
+    }
+    fn forward(
+        &self,
+        tape: &mut amud_repro::nn::Tape,
+        data: &GraphData,
+        _training: bool,
+        _rng: &mut rand::rngs::StdRng,
+    ) -> amud_repro::nn::NodeId {
+        let x = tape.constant(data.features.clone());
+        self.linear.forward(tape, &self.bank, x)
+    }
+    fn name(&self) -> &'static str {
+        "LogReg"
+    }
+}
+
+#[test]
+fn a_nan_weight_fails_verification() {
+    use amud_repro::nn::verify::{has_errors, Rule};
+    use amud_repro::nn::{Linear, ParamBank};
+    use rand::SeedableRng;
+
+    let data = bundle("cora_ml", 44);
+    let mut bank = ParamBank::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let linear = Linear::new(&mut bank, data.n_features(), data.n_classes, &mut rng);
+    let mut model = LogReg { bank, linear };
+    assert_clean("LogReg", "cora_ml", &verify_model(&model, &data, 0));
+
+    model.bank.value_mut(model.linear.b).set(0, 1, f32::NAN);
+    let diags = verify_model(&model, &data, 0);
+    assert!(has_errors(&diags), "{}", amud_repro::nn::verify::render(&diags));
+    // The bias leaf itself is the first node the scan flags.
+    let first = diags.iter().find(|d| d.rule == Rule::NonFinite).unwrap();
+    assert_eq!(first.severity, Severity::Error);
+    assert!(first.message.contains("1 non-finite entry"), "{}", first.message);
 }
