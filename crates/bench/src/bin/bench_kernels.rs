@@ -14,6 +14,16 @@
 //! cargo run --release -p amud-bench --bin bench-kernels -- --smoke --check BENCH_kernels.json
 //! ```
 //!
+//! Every kernel/shape pair is timed as the minimum over 15 interleaved
+//! rounds: each round runs every pair once, so a slow stretch of a shared
+//! host slows all pairs alike instead of one pair's whole series. The GEMM
+//! shapes include the Eq. 10 fuse layer on chameleon at k=5: `32x896x64`
+//! is one 32-node serving request, `432x896x64` a row-local training
+//! batch. The `bow` rows run `matmul` and `matmul_transa` with a sparse
+//! binary left operand, like the bag-of-words features of the citation
+//! replicas: most of its 4-element weight blocks are all zero, so those
+//! rows time the kernels' zero skip, which the dense rows never take.
+//!
 //! Speedup expectations are hardware-gated: when the parallel budget
 //! collapses to 1 thread the "parallel" run *is* the serial run (same
 //! budget, same partition, same code), so each kernel is measured once and
@@ -63,19 +73,13 @@ impl KernelResult {
     }
 }
 
-/// Minimum wall-clock over `reps` runs (the standard noise filter for
-/// micro-benchmarks: the minimum is the least-perturbed observation).
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    // TAINT-PURE(best): the minimum wall-clock is reported alongside the
-    // closure's result; it is never fed back into a computed value.
-    let mut best = f64::INFINITY;
-    let mut out = f();
-    for _ in 0..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out)
+/// Wall-clock of one call to `f`, in milliseconds, and its result.
+fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    // TAINT-PURE(t): the wall-clock is only reported; it is never fed
+    // back into a computed value.
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed().as_secs_f64() * 1e3, out)
 }
 
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {
@@ -85,6 +89,13 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 fn seeded(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
+}
+
+/// Binary features with density 3%, the density of the bag-of-words
+/// replicas' features (`amud_datasets::features`).
+fn bag_of_words(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    DenseMatrix::from_fn(rows, cols, |_, _| if rng.gen::<f32>() < 0.03 { 1.0 } else { 0.0 })
 }
 
 /// Synthetic propagation operator at node count `n`: average degree ~16
@@ -115,17 +126,36 @@ fn skewed_operator(n: usize, seed: u64) -> CsrMatrix {
     }
 }
 
-fn run_pair(reps: usize, par_budget: usize, f: impl Fn() -> Vec<f32>) -> (f64, f64, bool) {
-    let (serial_ms, serial_out) = amud_par::with_threads(1, || time_min(reps, &f));
-    if par_budget <= 1 {
-        // A 1-thread budget takes the identical code path as the serial
-        // run (same partitioning, same fallback); timing it separately
-        // would only sample scheduler noise and report it as a speedup or
-        // a regression. Measure once, report the one number for both.
-        return (serial_ms, serial_ms, true);
-    }
-    let (parallel_ms, parallel_out) = amud_par::with_threads(par_budget, || time_min(reps, &f));
-    (serial_ms, parallel_ms, bits_equal(&serial_out, &parallel_out))
+/// One timed call of a kernel, returning its output so the serial and
+/// parallel runs can be compared bit for bit. The output is moved out,
+/// not copied, so the timing holds the kernel and nothing else.
+type Run<'a> = Box<dyn Fn() -> DenseMatrix + 'a>;
+
+/// One kernel at one shape.
+struct Case<'a> {
+    kernel: &'static str,
+    shape: String,
+    flops: f64,
+    bytes: f64,
+    run: Run<'a>,
+}
+
+/// Minimum wall-clock of every case over `reps` interleaved rounds under
+/// a `threads` budget, and each case's output. Each round times every
+/// case once, so a slow stretch of the host slows all cases alike
+/// instead of one kernel's whole series. A first untimed round warms the
+/// caches and the pool.
+fn time_rounds(cases: &[Case<'_>], reps: usize, threads: usize) -> (Vec<f64>, Vec<DenseMatrix>) {
+    amud_par::with_threads(threads, || {
+        let outputs: Vec<DenseMatrix> = cases.iter().map(|c| (c.run)()).collect();
+        let mut best = vec![f64::INFINITY; cases.len()];
+        for _ in 0..reps {
+            for (case, best) in cases.iter().zip(&mut best) {
+                *best = best.min(time_ms(|| (case.run)()).0);
+            }
+        }
+        (best, outputs)
+    })
 }
 
 /// Throughput model for the GEMM family (`matmul`, `matmul_transb`,
@@ -164,137 +194,134 @@ fn main() {
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Same rep count in smoke mode: the min-of-reps noise filter is what
     // makes `--check` trustworthy, and the smoke shapes are cheap.
-    let reps = 5;
-    // (nodes, features, hidden): tiny replica, default replica cap, and a
-    // full-scale shape whose k-extent is above 2048 rows.
+    let reps = 15;
+    // (nodes, features, hidden): tiny replica, the Eq. 10 fuse layer on
+    // chameleon at k=5 ((5+1)·128 = 896 inputs) for one 32-node serving
+    // request and for a row-local training batch, the default replica
+    // cap, and a full-scale shape whose k-extent is above 2048 rows.
     let dense_shapes: &[(usize, usize, usize)] = if smoke {
-        &[(256, 64, 32), (1200, 128, 64)]
+        &[(256, 64, 32), (32, 896, 64), (1200, 128, 64)]
     } else {
-        &[(256, 64, 32), (1200, 128, 64), (4096, 256, 128)]
+        &[(256, 64, 32), (32, 896, 64), (432, 896, 64), (1200, 128, 64), (4096, 256, 128)]
     };
+    // (nodes, features, hidden) for the bag-of-words first layer.
+    let bow_shapes: &[(usize, usize, usize)] =
+        if smoke { &[(1200, 128, 64)] } else { &[(1200, 128, 64), (4096, 256, 128)] };
     let spmm_shapes: &[(usize, usize)] =
         if smoke { &[(1200, 32)] } else { &[(1200, 64), (4096, 64), (16384, 64)] };
 
-    let mut results: Vec<KernelResult> = Vec::new();
+    let dense: Vec<_> = dense_shapes
+        .iter()
+        .map(|&(n, f, h)| {
+            (n, f, h, seeded(n, f, 1), seeded(f, h, 2), seeded(h, f, 3), seeded(n, h, 4))
+        })
+        .collect();
+    let bow: Vec<_> = bow_shapes
+        .iter()
+        .map(|&(n, f, h)| (n, f, h, bag_of_words(n, f, 9), seeded(f, h, 2), seeded(n, h, 4)))
+        .collect();
+    let sparse: Vec<_> = spmm_shapes
+        .iter()
+        .map(|&(n, x_cols)| (n, x_cols, skewed_operator(n, 7), seeded(n, x_cols, 8)))
+        .collect();
 
-    for &(n, f, h) in dense_shapes {
-        let a = seeded(n, f, 1);
-        let b = seeded(f, h, 2);
-        let bt = seeded(h, f, 3);
-        let g = seeded(n, h, 4);
-        let shape = format!("{n}x{f}x{h}");
-
-        let (gemm_flops, gemm_bytes) = gemm_model(n, f, h);
-
-        let (s, p, ok) = run_pair(reps, par_budget, || a.matmul(&b).as_slice().to_vec());
-        results.push(KernelResult {
-            kernel: "matmul",
-            shape: shape.clone(),
-            serial_ms: s,
-            parallel_ms: p,
-            flops: gemm_flops,
-            bytes: gemm_bytes,
-            bit_identical: ok,
-        });
-
-        let (s, p, ok) = run_pair(reps, par_budget, || a.matmul_transb(&bt).as_slice().to_vec());
-        results.push(KernelResult {
-            kernel: "matmul_transb",
-            shape: shape.clone(),
-            serial_ms: s,
-            parallel_ms: p,
-            flops: gemm_flops,
-            bytes: gemm_bytes,
-            bit_identical: ok,
-        });
-
-        // Pack once outside the timer: the pack is built per weight
-        // matrix and amortized across every inference call against it.
-        let packed = bt.pack_transb();
-        let (s, p, ok) =
-            run_pair(reps, par_budget, || a.matmul_transb_packed(&packed).as_slice().to_vec());
-        results.push(KernelResult {
-            kernel: "matmul_transb_packed",
-            shape: shape.clone(),
-            serial_ms: s,
-            parallel_ms: p,
-            flops: gemm_flops,
-            bytes: gemm_bytes,
-            bit_identical: ok,
-        });
-
-        let (s, p, ok) = run_pair(reps, par_budget, || a.matmul_transa(&g).as_slice().to_vec());
-        results.push(KernelResult {
-            kernel: "matmul_transa",
-            shape: shape.clone(),
-            serial_ms: s,
-            parallel_ms: p,
-            flops: gemm_flops,
-            bytes: gemm_bytes,
-            bit_identical: ok,
-        });
+    let mut cases: Vec<Case<'_>> = Vec::new();
+    for (n, f, h, a, b, bt, g) in &dense {
+        let (n, f, h) = (*n, *f, *h);
+        let (flops, bytes) = gemm_model(n, f, h);
+        let runs: [(&'static str, Run<'_>); 3] = [
+            ("matmul", Box::new(move || a.matmul(b))),
+            ("matmul_transb", Box::new(move || a.matmul_transb(bt))),
+            ("matmul_transa", Box::new(move || a.matmul_transa(g))),
+        ];
+        for (kernel, run) in runs {
+            cases.push(Case { kernel, shape: format!("{n}x{f}x{h}"), flops, bytes, run });
+        }
 
         let (t_flops, t_bytes) = stream_model(n * f, 0);
-        let (s, p, ok) = run_pair(reps, par_budget, || a.transpose().as_slice().to_vec());
-        results.push(KernelResult {
+        cases.push(Case {
             kernel: "transpose",
             shape: format!("{n}x{f}"),
-            serial_ms: s,
-            parallel_ms: p,
             flops: t_flops,
             bytes: t_bytes,
-            bit_identical: ok,
+            run: Box::new(move || a.transpose()),
         });
 
-        let (s, p, ok) = run_pair(reps, par_budget, || {
-            let mut m = a.map(|v| 1.0 / (1.0 + (-v).exp()));
-            m.par_rows_mut(|_, row| {
-                let mut max = f32::NEG_INFINITY;
-                for &v in row.iter() {
-                    max = max.max(v);
-                }
-                for v in row.iter_mut() {
-                    *v = (*v - max).exp();
-                }
-                let sum = amud_par::lane_sum(row);
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            });
-            m.as_slice().to_vec()
-        });
         let (sm_flops, sm_bytes) = stream_model(n * f, 9);
-        results.push(KernelResult {
+        cases.push(Case {
             kernel: "elementwise_softmax",
             shape: format!("{n}x{f}"),
-            serial_ms: s,
-            parallel_ms: p,
             flops: sm_flops,
             bytes: sm_bytes,
-            bit_identical: ok,
+            run: Box::new(move || {
+                let mut m = a.map(|v| 1.0 / (1.0 + (-v).exp()));
+                m.par_rows_mut(|_, row| {
+                    let mut max = f32::NEG_INFINITY;
+                    for &v in row.iter() {
+                        max = max.max(v);
+                    }
+                    for v in row.iter_mut() {
+                        *v = (*v - max).exp();
+                    }
+                    let sum = amud_par::lane_sum(row);
+                    for v in row.iter_mut() {
+                        *v /= sum;
+                    }
+                });
+                m
+            }),
+        });
+    }
+    for (n, f, h, x, w, g) in &bow {
+        let (flops, bytes) = gemm_model(*n, *f, *h);
+        let shape = format!("{n}x{f}x{h} bow");
+        let runs: [(&'static str, Run<'_>); 2] = [
+            ("matmul", Box::new(move || x.matmul(w))),
+            ("matmul_transa", Box::new(move || x.matmul_transa(g))),
+        ];
+        for (kernel, run) in runs {
+            cases.push(Case { kernel, shape: shape.clone(), flops, bytes, run });
+        }
+    }
+    for (n, x_cols, op, x) in &sparse {
+        let (n, x_cols) = (*n, *x_cols);
+        let (sp_flops, sp_bytes) = spmm_model(n, x_cols, op.nnz());
+        cases.push(Case {
+            kernel: "spmm",
+            shape: format!("{n}x{n} nnz={} X={n}x{x_cols}", op.nnz()),
+            flops: sp_flops,
+            bytes: sp_bytes,
+            run: Box::new(move || {
+                let mut out = vec![0.0f32; n * x_cols];
+                op.spmm(x.as_slice(), x_cols, &mut out);
+                DenseMatrix::from_vec(n, x_cols, out)
+            }),
         });
     }
 
-    for &(n, x_cols) in spmm_shapes {
-        let op = skewed_operator(n, 7);
-        let x = seeded(n, x_cols, 8);
-        let shape = format!("{n}x{n} nnz={} X={n}x{x_cols}", op.nnz());
-        let (s, p, ok) = run_pair(reps, par_budget, || {
-            let mut out = vec![0.0f32; n * x_cols];
-            op.spmm(x.as_slice(), x_cols, &mut out);
-            out
-        });
-        let (sp_flops, sp_bytes) = spmm_model(n, x_cols, op.nnz());
-        results.push(KernelResult {
-            kernel: "spmm",
-            shape,
-            serial_ms: s,
-            parallel_ms: p,
-            flops: sp_flops,
-            bytes: sp_bytes,
-            bit_identical: ok,
-        });
-    }
+    let (serial, serial_out) = time_rounds(&cases, reps, 1);
+    // A 1-thread budget takes the identical code path as the serial run
+    // (same partitioning, same fallback); timing it separately would only
+    // sample scheduler noise and report it as a speedup or a regression.
+    // Measure once, report the one number for both.
+    let (parallel, parallel_out) = if par_budget <= 1 {
+        (serial.clone(), serial_out.clone())
+    } else {
+        time_rounds(&cases, reps, par_budget)
+    };
+    let results: Vec<KernelResult> = cases
+        .iter()
+        .enumerate()
+        .map(|(i, c)| KernelResult {
+            kernel: c.kernel,
+            shape: c.shape.clone(),
+            serial_ms: serial[i],
+            parallel_ms: parallel[i],
+            flops: c.flops,
+            bytes: c.bytes,
+            bit_identical: bits_equal(serial_out[i].as_slice(), parallel_out[i].as_slice()),
+        })
+        .collect();
 
     // Human-readable table.
     println!(

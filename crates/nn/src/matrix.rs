@@ -7,30 +7,33 @@
 //! performance-book guidance (no bounds checks in inner loops thanks to
 //! slice windows, no allocation inside kernels).
 //!
-//! The hot kernels are register-blocked lane microkernels from
-//! `amud_par::lanes` running on the `amud-par` runtime (DESIGN.md §9, §14):
+//! The GEMM kernels are the register-tiled kernels of `amud_par::lanes`,
+//! run per block of output rows on the `amud-par` runtime (DESIGN.md §9,
+//! §14), in the build `lanes::Build::host()` picks (AVX2 when the CPU has
+//! it):
 //!
-//! * `matmul` keeps the classic ikj axpy orientation but blocks `k` by 4
-//!   ([`lanes::lane_axpy4`]): the output row stays register-resident
-//!   across four weighted input rows. Per output element the
-//!   floating-point op sequence is *unchanged* (ascending `k`, one
-//!   `+=`-fused multiply-add per term), so the blocking is bitwise inert.
+//! * `matmul` keeps the classic ikj order per output element: ascending
+//!   `k`, one `+= a·b` per term, a 4-k block skipped for a row whose four
+//!   weights are all zero. In the AVX2 build a 4 × 16 output tile stays
+//!   in registers across the whole k loop for rows that skip no block;
+//!   that changes which elements are computed together, not any element's
+//!   operations, so the tiling is bitwise inert.
 //! * `matmul_transb` reduces each output element through the canonical
-//!   lane-fold order (`amud_par::lane_dot`, computed four outputs at a
-//!   time by [`lanes::lane_dot4`]) — the one kernel whose reduction order
-//!   changed when the microkernels landed, because the legacy scalar dot
-//!   was a single serial FP dependency chain the hardware could not
-//!   pipeline. The lane order is a pure function of the k-extent, so it
-//!   is still identical across thread counts.
+//!   lane-fold order (`amud_par::lane_dot`), eight chains side by side —
+//!   the one kernel whose reduction order changed when the microkernels
+//!   landed, because the legacy scalar dot was a single serial FP
+//!   dependency chain the hardware could not pipeline. The lane order is a
+//!   pure function of the k-extent, so it is still identical across
+//!   thread counts.
 //! * `matmul_transa` (the gradient path) reduces over the shared row
 //!   extent `k`. Each output element is one ascending-k pass — the same
-//!   4-way `lane_axpy4` scatter as `matmul`, one `+= a·b` per term — and
-//!   the work is split over *output* rows, so no element's sum is ever
-//!   cut into partials. The result is the legacy serial kernel bit for
-//!   bit at every k-extent and thread count, and it does not change when
-//!   all-zero rows of `other` are dropped (each would add an exact `±0`
-//!   to a `+0`-started sum), which is what lets row-local training
-//!   reproduce the full-graph weight gradients.
+//!   sequence and zero skip as `matmul` — and the work is split over
+//!   *output* rows, so no element's sum is ever cut into partials. The
+//!   result is the legacy serial kernel bit for bit at every k-extent and
+//!   thread count, and it does not change when all-zero rows of `other`
+//!   are dropped (each would add an exact `±0` to a `+0`-started sum),
+//!   which is what lets row-local training reproduce the full-graph
+//!   weight gradients.
 //! * the elementwise helpers (`map`, `par_zip_assign`, `par_rows_mut`)
 //!   split on fixed element/row boundaries; per-element work is
 //!   order-free, so they are bit-identical to serial.
@@ -198,231 +201,85 @@ impl DenseMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` — the classic ikj orientation, k-blocked by 4 so one
-    /// [`lanes::lane_axpy4`] call streams four rows of `other` into a
-    /// register-resident window of the output row. Output rows are computed
-    /// in parallel blocks.
+    /// `self · other`, computed by the register-tiled
+    /// [`lanes::matmul`] kernel over parallel blocks of output rows.
     ///
     /// Bit-identical to the legacy scalar ikj loop (and therefore across
-    /// thread counts): every output element still accumulates its terms in
-    /// ascending `k` order, one fused `+= a·b` per term. Zero weights are
-    /// skipped a block at a time; adding a `±0.0` term is exact-identity
-    /// here because an accumulator that starts at `+0.0` can never become
-    /// `-0.0`, so skipping or including such terms cannot change a bit.
+    /// thread counts and kernel builds): every output element accumulates
+    /// its terms in ascending `k` order, one `+= a·b` per term. A block of
+    /// four zero weights in one row of `self` is skipped for that row;
+    /// adding a `±0.0` term is exact-identity here because an accumulator
+    /// that starts at `+0.0` can never become `-0.0`, so skipping such
+    /// terms cannot change a bit when `other` is finite.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul: inner dimensions differ");
-        debug_assert!(self.data.iter().all(|v| v.is_finite()), "matmul: non-finite lhs entry");
-        debug_assert!(other.data.iter().all(|v| v.is_finite()), "matmul: non-finite rhs entry");
         let mut out = DenseMatrix::zeros(self.rows, other.cols);
         if other.cols == 0 {
             return out;
         }
         let parts = output_row_parts(self.rows, self.cols * other.cols);
-        let k_main = self.cols - self.cols % 4;
+        let build = lanes::Build::host();
         amud_par::par_row_blocks_mut(&mut out.data, other.cols, &parts, |_, rows, block| {
-            for (out_row, i) in block.chunks_exact_mut(other.cols).zip(rows) {
-                let a_row = self.row(i);
-                for kb in 0..k_main / 4 {
-                    let k = kb * 4;
-                    let w = [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]];
-                    if w == [0.0; 4] {
-                        continue;
-                    }
-                    lanes::lane_axpy4(
-                        out_row,
-                        w,
-                        other.row(k),
-                        other.row(k + 1),
-                        other.row(k + 2),
-                        other.row(k + 3),
-                    );
-                }
-                for (k, &a) in a_row.iter().enumerate().skip(k_main) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    lanes::lane_axpy(out_row, a, other.row(k));
-                }
-            }
+            let a = &self.data[rows.start * self.cols..rows.end * self.cols];
+            lanes::matmul(build, a, &other.data, self.cols, other.cols, block);
         });
         out
     }
 
     /// `self · otherᵀ` — each output element is a dot of two contiguous
     /// rows, reduced in the canonical lane-fold order
-    /// ([`amud_par::lane_dot`]) and computed four outputs at a time by
-    /// [`lanes::lane_dot4`] so the loads of `self`'s row are shared across
-    /// four independent accumulator chains. The legacy scalar dot was a
-    /// single serial FP-add dependency chain (~4 cycles per element); the
-    /// lane fold runs eight chains wide and is the reason this kernel now
-    /// tracks `matmul`'s throughput instead of trailing it 4×.
+    /// ([`amud_par::lane_dot`]) by the tiled [`lanes::matmul_transb`]
+    /// kernel, which runs eight independent lane-dot chains side by side.
+    /// The legacy scalar dot was a single serial FP-add dependency chain;
+    /// the lane fold runs eight chains wide.
     ///
     /// The reduction tree depends only on the k-extent, so the result is
-    /// bit-identical at any thread count (tail outputs — `j ≥ 4·⌊n/4⌋` —
-    /// go through `lane_dot` directly, which `lane_dot4` matches bitwise).
+    /// bit-identical at any thread count and in either kernel build.
     pub fn matmul_transb(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.cols, "matmul_transb: inner dimensions differ");
-        debug_assert!(
-            self.data.iter().chain(&other.data).all(|v| v.is_finite()),
-            "matmul_transb: non-finite operand entry"
-        );
         let mut out = DenseMatrix::zeros(self.rows, other.rows);
         if other.rows == 0 {
             return out;
         }
         let parts = output_row_parts(self.rows, self.cols * other.rows);
-        let j_main = other.rows - other.rows % 4;
+        let build = lanes::Build::host();
         amud_par::par_row_blocks_mut(&mut out.data, other.rows, &parts, |_, rows, block| {
-            for (out_row, i) in block.chunks_exact_mut(other.rows).zip(rows) {
-                let a_row = self.row(i);
-                for jb in 0..j_main / 4 {
-                    let j = jb * 4;
-                    let d = lanes::lane_dot4(
-                        a_row,
-                        other.row(j),
-                        other.row(j + 1),
-                        other.row(j + 2),
-                        other.row(j + 3),
-                    );
-                    out_row[j..j + 4].copy_from_slice(&d);
-                }
-                for (j, o) in out_row.iter_mut().enumerate().skip(j_main) {
-                    *o = amud_par::lane_dot(a_row, other.row(j));
-                }
-            }
+            let a = &self.data[rows.start * self.cols..rows.end * self.cols];
+            lanes::matmul_transb(build, a, &other.data, self.cols, other.rows, block);
         });
         out
     }
 
-    /// Builds a one-time interleaved pack of `self` for repeated
-    /// [`DenseMatrix::matmul_transb_packed`] multiplies against it.
-    ///
-    /// `matmul_transb` streams four strided rows of B per output block;
-    /// when the *same* B is multiplied many times (per-epoch weight
-    /// gradients, per-query scorer weights) that stride cost is paid on
-    /// every call. The pack pays it once: the cache-blocked
-    /// [`DenseMatrix::transpose`] does the heavy reordering, then a
-    /// sequential copy interleaves each aligned group of four B rows into
-    /// one contiguous stream (`blocks[jb][k*4 + m] = B[4jb+m][k]`).
-    /// Leftover rows (`rows % 4`) stay row-major and take the `lane_dot`
-    /// tail path unchanged.
-    pub fn pack_transb(&self) -> PackedTransB {
-        let j_main = self.rows - self.rows % 4;
-        let bt = self.transpose();
-        let mut blocks = Vec::with_capacity(j_main * self.cols);
-        // bt = transpose() swaps dims, so bt.row(k) has
-        // self.rows ≥ j_main elements; j_main ≤ rows keeps the tail start
-        // inside data.
-        for jb in 0..j_main / 4 {
-            for k in 0..self.cols {
-                blocks.extend_from_slice(&bt.row(k)[jb * 4..jb * 4 + 4]);
-            }
-        }
-        let tail = self.data[j_main * self.cols..].to_vec();
-        PackedTransB { n_rows: self.rows, cols: self.cols, blocks, tail }
-    }
-
-    /// `self · Bᵀ` against a pre-packed B — bit-identical to
-    /// [`DenseMatrix::matmul_transb`] on the matrix the pack was built
-    /// from.
-    ///
-    /// Same output-row partition, and per output the identical reduction:
-    /// packed blocks run [`lanes::lane_dot4_interleaved`] (pinned bitwise
-    /// to `lane_dot4`, which is pinned to `lane_dot`), tail outputs run
-    /// `lane_dot` on the row-major tail rows.
-    pub fn matmul_transb_packed(&self, packed: &PackedTransB) -> DenseMatrix {
-        assert_eq!(self.cols, packed.cols, "matmul_transb_packed: inner dimensions differ");
-        let mut out = DenseMatrix::zeros(self.rows, packed.n_rows);
-        if packed.n_rows == 0 {
-            return out;
-        }
-        let parts = output_row_parts(self.rows, self.cols * packed.n_rows);
-        let j_main = packed.n_rows - packed.n_rows % 4;
-        let block_len = packed.cols * 4;
-        amud_par::par_row_blocks_mut(&mut out.data, packed.n_rows, &parts, |_, rows, block| {
-            for (out_row, i) in block.chunks_exact_mut(packed.n_rows).zip(rows) {
-                let a_row = self.row(i);
-                // PackedTransB invariant — blocks
-                // holds j_main/4 interleaved blocks of cols · 4 entries and
-                // tail the remaining n_rows − j_main rows row-major.
-                for jb in 0..j_main / 4 {
-                    let b4 = &packed.blocks[jb * block_len..(jb + 1) * block_len];
-                    let d = lanes::lane_dot4_interleaved(a_row, b4);
-                    out_row[jb * 4..jb * 4 + 4].copy_from_slice(&d);
-                }
-                for (j, o) in out_row.iter_mut().enumerate().skip(j_main) {
-                    let t =
-                        &packed.tail[(j - j_main) * packed.cols..(j - j_main + 1) * packed.cols];
-                    *o = amud_par::lane_dot(a_row, t);
-                }
-            }
-        });
-        out
-    }
-
-    /// `selfᵀ · other` — accumulates rank-1 updates row by row.
-    ///
-    /// One ascending-k pass per output element, parallel over output rows
-    /// (the columns of `self`): each part streams every k and scatters into
-    /// its own output rows only. Like `matmul`, the k loop is blocked by 4
-    /// over [`lanes::lane_axpy4`] with an all-zero-weight block skip; per
-    /// output element the terms still arrive in ascending `k` order, one
-    /// `+= a·b` each, so the result is the legacy serial scatter bit for
-    /// bit at any thread count (the ±0.0-skip argument from `matmul`
-    /// applies verbatim — every output starts at `+0.0`).
+    /// `selfᵀ · other` — one ascending-k pass per output element, parallel
+    /// over output rows (the columns of `self`): each part streams every k
+    /// and writes its own output rows only. The [`lanes::matmul_transa`]
+    /// kernel keeps `matmul`'s per-element sequence and per-row zero skip,
+    /// so the result is the legacy serial scatter bit for bit at any
+    /// thread count (the ±0.0-skip argument from `matmul` applies
+    /// verbatim — every output starts at `+0.0`).
     pub fn matmul_transa(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.rows, other.rows, "matmul_transa: inner dimensions differ");
-        debug_assert!(
-            self.data.iter().chain(&other.data).all(|v| v.is_finite()),
-            "matmul_transa: non-finite operand entry"
-        );
         let mut out = DenseMatrix::zeros(self.cols, other.cols);
         if other.cols == 0 {
             return out;
         }
         let parts = output_row_parts(self.cols, self.rows * other.cols);
+        let build = lanes::Build::host();
         amud_par::par_row_blocks_mut(&mut out.data, other.cols, &parts, |_, rows, block| {
-            Self::transa_rows(self, other, rows, block);
+            lanes::matmul_transa(
+                build,
+                &self.data,
+                self.cols,
+                rows,
+                &other.data,
+                other.cols,
+                block,
+            );
         });
         out
-    }
-
-    /// Output rows `rows` of `aᵀ · b` into `out` (`rows.len() · b.cols`
-    /// floats): the full ascending-k scatter, restricted to those rows.
-    fn transa_rows(a: &DenseMatrix, b: &DenseMatrix, rows: Range<usize>, out: &mut [f32]) {
-        let k_main = a.rows - a.rows % 4;
-        for kb in 0..k_main / 4 {
-            let k = kb * 4;
-            // Output row i of `out` is column `rows.start + i` of a, so the
-            // weight windows start at rows.start.
-            let (a0, a1, a2, a3) = (
-                &a.row(k)[rows.clone()],
-                &a.row(k + 1)[rows.clone()],
-                &a.row(k + 2)[rows.clone()],
-                &a.row(k + 3)[rows.clone()],
-            );
-            let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
-            for (i, out_row) in out.chunks_exact_mut(b.cols).enumerate() {
-                let w = [a0[i], a1[i], a2[i], a3[i]];
-                if w == [0.0; 4] {
-                    continue;
-                }
-                lanes::lane_axpy4(out_row, w, b0, b1, b2, b3);
-            }
-        }
-        for k in k_main..a.rows {
-            let a_row = &a.row(k)[rows.clone()];
-            let b_row = b.row(k);
-            for (out_row, &av) in out.chunks_exact_mut(b.cols).zip(a_row) {
-                if av == 0.0 {
-                    continue;
-                }
-                lanes::lane_axpy(out_row, av, b_row);
-            }
-        }
     }
 
     /// Out-of-place transpose, tiled `TRANSPOSE_BLOCK × TRANSPOSE_BLOCK` so
@@ -617,35 +474,6 @@ impl DenseMatrix {
     }
 }
 
-/// One-time interleaved pack of a B matrix for repeated
-/// [`DenseMatrix::matmul_transb_packed`] calls — see
-/// [`DenseMatrix::pack_transb`] for the layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedTransB {
-    /// Row count of the packed B (the output column count).
-    n_rows: usize,
-    /// Column count of the packed B (the shared inner dimension).
-    cols: usize,
-    /// `⌊n_rows/4⌋` interleaved blocks of `cols·4` floats:
-    /// `blocks[jb·cols·4 + k·4 + m] = B[4·jb + m][k]`.
-    blocks: Vec<f32>,
-    /// The `n_rows % 4` leftover rows, row-major.
-    tail: Vec<f32>,
-}
-
-impl PackedTransB {
-    /// Row count of the matrix this pack was built from.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Column count (inner dimension) of the matrix this pack was built
-    /// from.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,47 +511,6 @@ mod tests {
     #[test]
     fn transpose_roundtrip() {
         assert_eq!(a().transpose().transpose(), a());
-    }
-
-    #[test]
-    fn packed_transb_is_bit_identical_to_matmul_transb() {
-        // Shapes cover the interleaved block path, the row-major tail
-        // (n % 4), sub-lane k extents, and parallel-partition sizes.
-        for (m, k, n) in [(2, 3, 3), (5, 7, 9), (16, 8, 4), (33, 65, 30), (64, 128, 47)] {
-            let a = DenseMatrix::from_fn(m, k, |r, c| ((r * 31 + c * 17) as f32 * 0.7).sin());
-            let b = DenseMatrix::from_fn(n, k, |r, c| ((r * 13 + c * 29) as f32 * 0.3).cos());
-            let packed = b.pack_transb();
-            let via_pack = a.matmul_transb_packed(&packed);
-            let direct = a.matmul_transb(&b);
-            assert_eq!(via_pack.rows(), direct.rows());
-            assert_eq!(via_pack.cols(), direct.cols());
-            for (x, y) in via_pack.as_slice().iter().zip(direct.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "m={m} k={k} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_transb_handles_degenerate_shapes() {
-        let lhs = DenseMatrix::zeros(3, 0);
-        let rhs = DenseMatrix::zeros(5, 0);
-        let out = lhs.matmul_transb_packed(&rhs.pack_transb());
-        assert_eq!(out.shape(), (3, 5));
-        let empty = DenseMatrix::zeros(0, 3);
-        assert_eq!(a().matmul_transb_packed(&empty.pack_transb()).shape(), (2, 0));
-    }
-
-    #[test]
-    fn packed_transb_is_thread_count_invariant() {
-        let a = DenseMatrix::from_fn(40, 24, |r, c| ((r * 7 + c) as f32 * 0.11).sin());
-        let b = DenseMatrix::from_fn(22, 24, |r, c| ((r + c * 5) as f32 * 0.23).cos());
-        let reference = amud_par::with_threads(1, || a.matmul_transb_packed(&b.pack_transb()));
-        for threads in [2, 3, 8] {
-            let got = amud_par::with_threads(threads, || a.matmul_transb_packed(&b.pack_transb()));
-            for (x, y) in got.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -564,20 +564,31 @@ impl Tape {
     fn propagate_op(&mut self, id: NodeId, op: &Op, grad: &DenseMatrix) {
         match op {
             Op::Leaf { .. } => {}
+            // A product whose operand takes no gradient is not computed:
+            // `accumulate` would drop it (e.g. `G·Wᵀ` for a first layer over
+            // constant features).
             Op::MatMul(a, b) => {
                 let (a, b) = (*a, *b);
-                let da = grad.matmul_transb(&self.nodes[b].value);
-                let db = self.nodes[a].value.matmul_transa(grad);
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                if self.nodes[a].needs_grad {
+                    let da = grad.matmul_transb(&self.nodes[b].value);
+                    self.accumulate(a, da);
+                }
+                if self.nodes[b].needs_grad {
+                    let db = self.nodes[a].value.matmul_transa(grad);
+                    self.accumulate(b, db);
+                }
             }
             Op::MatMulTransB(a, b) => {
                 // out = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A.
                 let (a, b) = (*a, *b);
-                let da = grad.matmul(&self.nodes[b].value);
-                let db = grad.matmul_transa(&self.nodes[a].value);
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                if self.nodes[a].needs_grad {
+                    let da = grad.matmul(&self.nodes[b].value);
+                    self.accumulate(a, da);
+                }
+                if self.nodes[b].needs_grad {
+                    let db = grad.matmul_transa(&self.nodes[a].value);
+                    self.accumulate(b, db);
+                }
             }
             Op::SpMM { op, x } => {
                 let x = *x;

@@ -109,7 +109,7 @@ fn adpa_row_local_tape_verifies_clean() {
 }
 
 /// Logistic regression over the raw features: one `Linear` layer, whose
-/// bias the NaN test poisons.
+/// bias or weight matrix the NaN tests poison.
 struct LogReg {
     bank: amud_repro::nn::ParamBank,
     linear: amud_repro::nn::Linear,
@@ -137,23 +137,46 @@ impl amud_repro::train::Model for LogReg {
     }
 }
 
-#[test]
-fn a_nan_weight_fails_verification() {
-    use amud_repro::nn::verify::{has_errors, Rule};
+fn log_reg(data: &GraphData) -> LogReg {
     use amud_repro::nn::{Linear, ParamBank};
     use rand::SeedableRng;
 
-    let data = bundle("cora_ml", 44);
     let mut bank = ParamBank::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let linear = Linear::new(&mut bank, data.n_features(), data.n_classes, &mut rng);
-    let mut model = LogReg { bank, linear };
-    assert_clean("LogReg", "cora_ml", &verify_model(&model, &data, 0));
+    let model = LogReg { bank, linear };
+    assert_clean("LogReg", "cora_ml", &verify_model(&model, data, 0));
+    model
+}
 
+#[test]
+fn a_nan_weight_fails_verification() {
+    use amud_repro::nn::verify::{has_errors, Rule};
+
+    let data = bundle("cora_ml", 44);
+    let mut model = log_reg(&data);
     model.bank.value_mut(model.linear.b).set(0, 1, f32::NAN);
     let diags = verify_model(&model, &data, 0);
     assert!(has_errors(&diags), "{}", amud_repro::nn::verify::render(&diags));
     // The bias leaf itself is the first node the scan flags.
+    let first = diags.iter().find(|d| d.rule == Rule::NonFinite).unwrap();
+    assert_eq!(first.severity, Severity::Error);
+    assert!(first.message.contains("1 non-finite entry"), "{}", first.message);
+}
+
+/// A NaN in the weight matrix reaches the `X·W` kernel. The kernel must
+/// compute with it (debug builds included) and leave the report to the
+/// verifier.
+#[test]
+fn a_nan_weight_feeding_a_matmul_fails_verification() {
+    use amud_repro::nn::verify::{has_errors, Rule};
+
+    let data = bundle("cora_ml", 44);
+    let mut model = log_reg(&data);
+    model.bank.value_mut(model.linear.w).set(0, 1, f32::NAN);
+    let diags = verify_model(&model, &data, 0);
+    assert!(has_errors(&diags), "{}", amud_repro::nn::verify::render(&diags));
+    // The weight leaf itself is the first node the scan flags.
     let first = diags.iter().find(|d| d.rule == Rule::NonFinite).unwrap();
     assert_eq!(first.severity, Severity::Error);
     assert!(first.message.contains("1 non-finite entry"), "{}", first.message);
