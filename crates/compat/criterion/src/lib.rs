@@ -7,6 +7,8 @@
 //! machinery: each benchmark is warmed up briefly, then timed over a fixed
 //! number of batches, and min/mean per-iteration times are printed.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

@@ -10,6 +10,8 @@
 //! index and message and panics immediately. Cases are generated from a
 //! fixed seed, so failures are reproducible run to run.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;

@@ -12,6 +12,8 @@
 //! rest of the workspace compiles unchanged against either this stub or the
 //! real crate.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// A source of uniformly distributed 64-bit values.

@@ -2,6 +2,8 @@
 //! distribution (the only one the workspace samples), generated with the
 //! Box–Muller transform over the vendored `rand` stub.
 
+#![forbid(unsafe_code)]
+
 use rand::RngCore;
 
 /// A distribution samplable with an RNG, mirroring `rand_distr::Distribution`.

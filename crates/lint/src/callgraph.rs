@@ -1,5 +1,4 @@
-//! Name-resolved call graph over the [`SymbolTable`], plus BFS
-//! reachability with path reconstruction.
+//! Name-resolved call graph over the [`SymbolTable`].
 //!
 //! A call site is a live identifier directly followed by `(` that is not
 //! a keyword, not a macro invocation (`name!`), and not the definition
@@ -12,13 +11,12 @@
 //! call `Type::name(…)` resolves only to symbols defined in a file that
 //! has an `impl` header mentioning `Type`, and `Self::name(…)` resolves
 //! only within the caller's own file. Without this, every `Vec::new()`
-//! in a kernel would alias every `new` constructor in the workspace and
-//! reachability would degenerate to "everything".
+//! would alias every `new` constructor in the workspace and taint would
+//! flow through all of them.
 
 use crate::index::{next_code, prev_code, FileIndex};
 use crate::symbols::SymbolTable;
 use crate::tokenizer::TokKind;
-use std::collections::VecDeque;
 
 /// Identifiers that look like calls lexically but never are.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -39,22 +37,11 @@ pub struct CallSite {
     pub targets: Vec<usize>,
 }
 
-/// The workspace call graph: per-symbol call sites and resolved edges.
+/// The workspace call graph: per-symbol call sites and their resolved
+/// targets.
 pub struct CallGraph {
     /// Call sites per caller symbol id (token order).
     pub sites: Vec<Vec<CallSite>>,
-    /// Resolved callee symbol ids per caller, sorted and deduplicated.
-    pub callees: Vec<Vec<usize>>,
-}
-
-/// BFS result over the graph: which symbols are reachable from the root
-/// set, and through whom (for diagnostic call paths).
-pub struct Reachability {
-    pub visited: Vec<bool>,
-    /// `pred[s]` is the caller through which BFS first reached `s`.
-    /// Meaningless for roots and unvisited symbols.
-    pred: Vec<usize>,
-    roots: Vec<bool>,
 }
 
 /// Uppercase identifiers appearing in the file's `impl` headers (type
@@ -87,11 +74,9 @@ impl CallGraph {
         let impl_types: Vec<std::collections::BTreeSet<String>> =
             files.iter().map(|(_, ix)| impl_header_types(ix)).collect();
         let mut sites: Vec<Vec<CallSite>> = Vec::with_capacity(syms.len());
-        let mut callees: Vec<Vec<usize>> = Vec::with_capacity(syms.len());
         for s in &syms.symbols {
             let ix = &files[s.file].1;
             let mut my_sites = Vec::new();
-            let mut my_callees = Vec::new();
             for i in s.body.clone() {
                 if !ix.is_live(i) || ix.toks[i].kind != TokKind::Ident {
                     continue;
@@ -127,68 +112,13 @@ impl CallGraph {
                     };
                     if keep {
                         targets.push(t);
-                        if t != s.id {
-                            my_callees.push(t);
-                        }
                     }
                 }
                 my_sites.push(CallSite { callee: name.to_string(), at: i, targets });
             }
-            my_callees.sort_unstable();
-            my_callees.dedup();
             sites.push(my_sites);
-            callees.push(my_callees);
         }
-        CallGraph { sites, callees }
-    }
-
-    /// Breadth-first reachability from `roots` (deterministic: roots are
-    /// visited in sorted order, neighbours in ascending id order).
-    pub fn reachable_from(&self, roots: &[usize]) -> Reachability {
-        let n = self.callees.len();
-        let mut visited = vec![false; n];
-        let mut pred = vec![0usize; n];
-        let mut is_root = vec![false; n];
-        let mut sorted: Vec<usize> = roots.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut queue = VecDeque::new();
-        for &r in &sorted {
-            visited[r] = true;
-            is_root[r] = true;
-            queue.push_back(r);
-        }
-        while let Some(s) = queue.pop_front() {
-            for &t in &self.callees[s] {
-                if !visited[t] {
-                    visited[t] = true;
-                    pred[t] = s;
-                    queue.push_back(t);
-                }
-            }
-        }
-        Reachability { visited, pred, roots: is_root }
-    }
-}
-
-impl Reachability {
-    /// The call path `root → … → target` as symbol names, for diagnostics.
-    /// Empty when `target` is unreachable.
-    pub fn path_to(&self, target: usize, syms: &SymbolTable) -> Vec<String> {
-        if !self.visited[target] {
-            return Vec::new();
-        }
-        let mut chain = vec![target];
-        let mut cur = target;
-        while !self.roots[cur] {
-            cur = self.pred[cur];
-            chain.push(cur);
-            if chain.len() > self.visited.len() {
-                break; // defensive: cannot happen with a well-formed pred map
-            }
-        }
-        chain.reverse();
-        chain.into_iter().map(|id| syms.get(id).name.clone()).collect()
+        CallGraph { sites }
     }
 }
 
@@ -211,6 +141,18 @@ mod tests {
         t.resolve(name)[0]
     }
 
+    /// Resolved callee ids of `caller`, sorted, without self-edges.
+    fn callees(cg: &CallGraph, caller: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = cg.sites[caller]
+            .iter()
+            .flat_map(|c| c.targets.iter().copied())
+            .filter(|&t| t != caller)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     #[test]
     fn cross_crate_calls_resolve() {
         let (files, t) = graph(&[
@@ -218,7 +160,7 @@ mod tests {
             ("crates/graph/src/b.rs", "pub fn helper(x: usize) -> usize { x }\n"),
         ]);
         let cg = CallGraph::build(&files, &t);
-        assert_eq!(cg.callees[id(&t, "kernel")], vec![id(&t, "helper")]);
+        assert_eq!(callees(&cg, id(&t, "kernel")), vec![id(&t, "helper")]);
     }
 
     #[test]
@@ -230,7 +172,7 @@ mod tests {
         let cg = CallGraph::build(&files, &t);
         let f_sites: Vec<&str> = cg.sites[id(&t, "f")].iter().map(|s| s.callee.as_str()).collect();
         assert_eq!(f_sites, vec!["g"], "if/panic!/fn-def must not register as calls");
-        assert_eq!(cg.callees[id(&t, "h")], vec![id(&t, "g")]);
+        assert_eq!(callees(&cg, id(&t, "h")), vec![id(&t, "g")]);
     }
 
     #[test]
@@ -241,7 +183,11 @@ mod tests {
             ("crates/graph/src/n.rs", "impl N { pub fn scale(&self, s: f32) {} }\n"),
         ]);
         let cg = CallGraph::build(&files, &t);
-        assert_eq!(cg.callees[id(&t, "f")].len(), 2, "bare-name resolution is deliberately plural");
+        assert_eq!(
+            callees(&cg, id(&t, "f")).len(),
+            2,
+            "bare-name resolution is deliberately plural"
+        );
     }
 
     #[test]
@@ -259,7 +205,7 @@ mod tests {
         ]);
         let cg = CallGraph::build(&files, &t);
         let f_callees: Vec<&str> =
-            cg.callees[id(&t, "f")].iter().map(|&c| t.get(c).label.as_str()).collect();
+            callees(&cg, id(&t, "f")).iter().map(|&c| t.get(c).label.as_str()).collect();
         assert_eq!(
             f_callees,
             vec!["crates/nn/src/m.rs"],
@@ -272,24 +218,9 @@ mod tests {
             .find(|&c| t.get(c).label == "crates/nn/src/m.rs")
             .expect("DenseMatrix::new indexed");
         assert_eq!(
-            cg.callees[new_dm],
+            callees(&cg, new_dm),
             vec![id(&t, "init")],
             "Self::init stays inside the defining file"
         );
-    }
-
-    #[test]
-    fn reachability_finds_transitive_paths() {
-        let (files, t) = graph(&[(
-            "crates/nn/src/a.rs",
-            "pub fn root() { mid(); }\npub fn mid() { leaf(); }\npub fn leaf() {}\npub fn island() {}\n",
-        )]);
-        let cg = CallGraph::build(&files, &t);
-        let reach = cg.reachable_from(&[id(&t, "root")]);
-        assert!(reach.visited[id(&t, "leaf")]);
-        assert!(!reach.visited[id(&t, "island")]);
-        assert_eq!(reach.path_to(id(&t, "leaf"), &t), vec!["root", "mid", "leaf"]);
-        assert_eq!(reach.path_to(id(&t, "root"), &t), vec!["root"]);
-        assert!(reach.path_to(id(&t, "island"), &t).is_empty());
     }
 }

@@ -13,14 +13,15 @@
 //!   function flows into its cache key or is `KEY-EXEMPT`-justified
 //!
 //! On top of the per-file passes, [`symbols`] + [`callgraph`] fuse every
-//! file into one workspace view, and [`workspace`] runs four
-//! interprocedural passes over it (DESIGN.md §12): `panic-reachability`,
-//! `determinism-taint`, `par-disjointness` and `error-taxonomy`.
+//! file into one workspace view, and [`workspace`] runs two
+//! interprocedural passes over it (DESIGN.md §12): `determinism-taint`
+//! and `error-taxonomy`.
 //!
 //! Generic code rules — unwrap/expect, `unsafe` and its `// SAFETY:`
 //! comments, public docs, thread and sync construction, panics in kernel
 //! crates — are rustc and clippy lints, configured in the workspace
-//! `Cargo.toml` and `clippy.toml`, not passes here.
+//! `Cargo.toml` and `clippy.toml`, not passes here. The disjointness of
+//! parallel blocks is `amud_par::par_row_blocks_mut`'s always-on asserts.
 
 pub mod callgraph;
 pub mod index;

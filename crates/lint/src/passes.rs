@@ -14,8 +14,8 @@
 //!   cache key (traced through `let` bindings) or carry an explicit
 //!   `// KEY-EXEMPT(param): reason` justification.
 //!
-//! The interprocedural rules (`panic-reachability`, `determinism-taint`,
-//! `par-disjointness`, `error-taxonomy`) live in [`crate::workspace`].
+//! The interprocedural rules (`determinism-taint`, `error-taxonomy`) live
+//! in [`crate::workspace`].
 
 use crate::index::{match_delim, next_code, prev_code, FileIndex};
 use crate::tokenizer::TokKind;
@@ -27,9 +27,7 @@ use std::fmt;
 pub enum RuleKind {
     FloatDeterminism,
     CacheKeyCompleteness,
-    PanicReachability,
     DeterminismTaint,
-    ParDisjointness,
     ErrorTaxonomy,
 }
 
@@ -38,9 +36,7 @@ impl RuleKind {
         match self {
             RuleKind::FloatDeterminism => "float-determinism",
             RuleKind::CacheKeyCompleteness => "cache-key-completeness",
-            RuleKind::PanicReachability => "panic-reachability",
             RuleKind::DeterminismTaint => "determinism-taint",
-            RuleKind::ParDisjointness => "par-disjointness",
             RuleKind::ErrorTaxonomy => "error-taxonomy",
         }
     }
@@ -50,9 +46,7 @@ impl RuleKind {
         &[
             RuleKind::FloatDeterminism,
             RuleKind::CacheKeyCompleteness,
-            RuleKind::PanicReachability,
             RuleKind::DeterminismTaint,
-            RuleKind::ParDisjointness,
             RuleKind::ErrorTaxonomy,
         ]
     }

@@ -9,11 +9,11 @@
 //! function of that name. Passes built on the table are therefore
 //! over-approximate (they may follow an edge the type system would
 //! reject) but never miss a same-name edge, which is the right polarity
-//! for safety checks like panic reachability.
+//! for safety checks like determinism taint.
 //!
 //! The vendored API stubs under `crates/compat/` are deliberately **not**
 //! indexed: they stand in for external dependencies, and treating their
-//! bodies as workspace code would let a stub's `unwrap` poison every
+//! bodies as workspace code would let a stub's internals poison every
 //! caller of a common name like `sample`.
 
 use crate::index::FileIndex;

@@ -2,15 +2,8 @@
 //! [`crate::callgraph`].
 //!
 //! Where the per-file passes in [`crate::passes`] see one token stream at
-//! a time, these four see the whole workspace at once:
+//! a time, these two see the whole workspace at once:
 //!
-//! * `panic-reachability` — no panicking function (`.unwrap()` /
-//!   `.expect(…)` / `panic!` / `todo!` / `unimplemented!`, discovered
-//!   transitively over the call graph) may be reachable from a kernel hot
-//!   path: a `crates/nn` / `crates/graph` function that enters the
-//!   parallel runtime (`par_*`). `unreachable!` with a proof stays the
-//!   sanctioned escape hatch, matching the crate-level
-//!   `clippy::panic` warning in nn/graph/par.
 //! * `determinism-taint` — values originating from `std::env`, wall-clock
 //!   time, or ambient RNG state must not flow — through `let` bindings
 //!   and call arguments, interprocedurally — into cache keys
@@ -20,19 +13,12 @@
 //!   `amud-par` (`max_threads` and friends) are exempt: the proptested
 //!   determinism contract guarantees thread count never changes output
 //!   values. A `// TAINT-PURE(name): reason` comment inside a function
-//!   body is the audited escape hatch (the sibling of `KEY-EXEMPT` /
-//!   `DISJOINT:`): it declares a local — or, naming the function itself,
-//!   its return value — run-pure despite its env-derived provenance, for
-//!   the sanctioned patterns the lexical engine cannot see through
-//!   (an env var selecting among fixed presets, a user-facing knob that
-//!   only bounds a loop).
-//! * `par-disjointness` — every `par_row_blocks_mut` call outside the
-//!   runtime itself must derive its block ranges from `split_even` /
-//!   `split_by_weight` (directly, through a `*_parts` helper that
-//!   bottoms out in one, or through `let` bindings), or the enclosing
-//!   function must carry a substantive `// DISJOINT:` proof comment.
-//!   `par_zip_assign` / `par_chunks_mut` partition internally, so they
-//!   are validated once, at their definitions.
+//!   body is the audited escape hatch (the sibling of `KEY-EXEMPT`): it
+//!   declares a local — or, naming the function itself, its return
+//!   value — run-pure despite its env-derived provenance, for the
+//!   sanctioned patterns the lexical engine cannot see through (an env
+//!   var selecting among fixed presets, a user-facing knob that only
+//!   bounds a loop).
 //! * `error-taxonomy` — public fallible functions in `crates/train`,
 //!   `crates/datasets` and `crates/serve` must return the typed error
 //!   enums, not `String` / `Box` payloads. No clippy lint rejects
@@ -43,7 +29,7 @@
 //! that bare name. For safety checks that is the right polarity — a
 //! spurious same-name edge can cost a code change or an audited escape
 //! comment, a missed real edge would cost a silent non-deterministic
-//! kernel.
+//! result.
 
 use crate::callgraph::CallGraph;
 use crate::index::{match_delim, next_code, prev_code, FileIndex};
@@ -59,12 +45,8 @@ pub(crate) type WsPass = fn(&[(String, FileIndex)], &SymbolTable, &CallGraph, &m
 
 /// The interprocedural passes in dispatch order, labelled by the rule
 /// they enforce (the label feeds the `--timings` column).
-pub(crate) const WORKSPACE_PASSES: &[(&str, WsPass)] = &[
-    ("panic-reachability", pass_panic_reachability),
-    ("determinism-taint", pass_determinism_taint),
-    ("par-disjointness", pass_par_disjointness),
-    ("error-taxonomy", pass_error_taxonomy),
-];
+pub(crate) const WORKSPACE_PASSES: &[(&str, WsPass)] =
+    &[("determinism-taint", pass_determinism_taint), ("error-taxonomy", pass_error_taxonomy)];
 
 /// Top-level comma-split argument ranges of the call whose callee
 /// identifier is at `at`. Closure arguments may split at their parameter
@@ -96,82 +78,6 @@ fn call_args(ix: &FileIndex, at: usize) -> Option<Vec<Range<usize>>> {
         args.push(start..close);
     }
     Some(args)
-}
-
-/// Whether any live identifier in `range` satisfies `pred`.
-fn range_mentions(ix: &FileIndex, range: &Range<usize>, pred: impl Fn(&str) -> bool) -> bool {
-    range
-        .clone()
-        .any(|i| ix.is_live(i) && ix.toks[i].kind == TokKind::Ident && pred(&ix.toks[i].text))
-}
-
-// ---------------------------------------------------------------------
-// panic-reachability
-// ---------------------------------------------------------------------
-
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
-
-/// Panic sources inside `body`: `.unwrap()` / `.expect(…)` calls and the
-/// banned macros. `unreachable!` is exempt (a proof-carrying invariant).
-fn panic_sites(ix: &FileIndex, body: &Range<usize>) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for i in body.clone() {
-        if !ix.is_live(i) {
-            continue;
-        }
-        let t = &ix.toks[i];
-        if t.is_punct(".") {
-            if let Some(name) = next_code(&ix.toks, i + 1) {
-                if (ix.toks[name].is_ident("unwrap") || ix.toks[name].is_ident("expect"))
-                    && next_code(&ix.toks, name + 1).is_some_and(|p| ix.toks[p].is_punct("("))
-                {
-                    out.push((name, format!(".{}(…)", ix.toks[name].text)));
-                }
-            }
-        } else if t.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && next_code(&ix.toks, i + 1).is_some_and(|j| ix.toks[j].is_punct("!"))
-        {
-            out.push((i, format!("{}!", t.text)));
-        }
-    }
-    out
-}
-
-fn pass_panic_reachability(
-    files: &[(String, FileIndex)],
-    syms: &SymbolTable,
-    cg: &CallGraph,
-    out: &mut Vec<Violation>,
-) {
-    // Hot-path roots: nn/graph functions that enter the parallel runtime.
-    let roots: Vec<usize> = syms
-        .symbols
-        .iter()
-        .filter(|s| {
-            (s.label.starts_with("crates/nn/src/") || s.label.starts_with("crates/graph/src/"))
-                && cg.sites[s.id].iter().any(|c| c.callee.starts_with("par_"))
-        })
-        .map(|s| s.id)
-        .collect();
-    let reach = cg.reachable_from(&roots);
-    for s in &syms.symbols {
-        if !reach.visited[s.id] {
-            continue;
-        }
-        let ix = &files[s.file].1;
-        for (at, what) in panic_sites(ix, &s.body) {
-            let path = reach.path_to(s.id, syms).join(" → ");
-            out.push(violation(
-                &s.label,
-                ix,
-                at,
-                RuleKind::PanicReachability,
-                format!("`{what}` in `{}` is reachable from a kernel hot path via {path}", s.name),
-                "make the callee infallible (let-else + unreachable! with a proof) or surface a Result before entering the parallel region",
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -582,100 +488,6 @@ fn pass_determinism_taint(
 }
 
 // ---------------------------------------------------------------------
-// par-disjointness
-// ---------------------------------------------------------------------
-
-/// Minimum substance (chars after the colon) of a `// DISJOINT:` proof.
-const MIN_DISJOINT_PROOF: usize = 20;
-
-fn pass_par_disjointness(
-    files: &[(String, FileIndex)],
-    syms: &SymbolTable,
-    cg: &CallGraph,
-    out: &mut Vec<Violation>,
-) {
-    // Provider fixpoint: the two partition functions, plus any `*_parts`
-    // helper that bottoms out in a provider.
-    let mut providers: BTreeSet<String> =
-        ["split_even", "split_by_weight"].iter().map(|s| s.to_string()).collect();
-    loop {
-        let mut grew = false;
-        for s in &syms.symbols {
-            if providers.contains(&s.name) || !s.name.ends_with("_parts") {
-                continue;
-            }
-            // Name-based, not resolution-based: the base providers live in
-            // `crates/par`, which explicit-file runs may not include.
-            if cg.sites[s.id].iter().any(|c| providers.contains(&c.callee)) {
-                providers.insert(s.name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    for s in &syms.symbols {
-        if s.label.starts_with("crates/par/src/") {
-            continue; // the runtime's own plumbing (validated by its tests)
-        }
-        let ix = &files[s.file].1;
-        let mut checked_bindings: Option<BTreeSet<String>> = None;
-        for site in cg.sites[s.id].iter().filter(|c| c.callee == "par_row_blocks_mut") {
-            let Some(args) = call_args(ix, site.at) else { continue };
-            // Lazily compute which locals trace back to a provider.
-            let provider_locals = checked_bindings.get_or_insert_with(|| {
-                let bindings = ix.let_inits(&s.body);
-                let mut locals: BTreeSet<String> = BTreeSet::new();
-                loop {
-                    let mut grew = false;
-                    for (name, init) in &bindings {
-                        if !locals.contains(name)
-                            && range_mentions(ix, init, |t| {
-                                providers.contains(t) || locals.contains(t)
-                            })
-                        {
-                            locals.insert(name.clone());
-                            grew = true;
-                        }
-                    }
-                    if !grew {
-                        break;
-                    }
-                }
-                locals
-            });
-            let derived = args.get(2).is_some_and(|arg| {
-                range_mentions(ix, arg, |t| providers.contains(t) || provider_locals.contains(t))
-            });
-            if derived {
-                continue;
-            }
-            let proof = s.body.clone().any(|j| {
-                let t = &ix.toks[j];
-                matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
-                    && t.text.find("DISJOINT:").is_some_and(|p| {
-                        t.text[p + "DISJOINT:".len()..].trim().len() >= MIN_DISJOINT_PROOF
-                    })
-            });
-            if !proof {
-                out.push(violation(
-                    &s.label,
-                    ix,
-                    site.at,
-                    RuleKind::ParDisjointness,
-                    format!(
-                        "`par_row_blocks_mut` in `{}` takes block ranges with no provenance from split_even/split_by_weight",
-                        s.name
-                    ),
-                    "derive the ranges from a partition provider, or add a `// DISJOINT: …` comment proving the ranges tile without overlap",
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // error-taxonomy
 // ---------------------------------------------------------------------
 
@@ -772,33 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_reachability_follows_cross_crate_edges() {
-        let vs = analyze(&[
-            (
-                "crates/nn/src/kernel.rs",
-                "pub fn hot(d: &mut [f32]) { par_row_blocks_mut(d, 1, &split_even(d.len(), 2), |_, _, _| {}); helper(); }\n",
-            ),
-            (
-                "crates/datasets/src/util.rs",
-                "pub fn helper() { deeper(); }\npub fn deeper() { x.unwrap(); }\n",
-            ),
-        ]);
-        let hits = by_rule(&vs, RuleKind::PanicReachability);
-        assert_eq!(hits.len(), 1, "transitive panic must be found: {vs:?}");
-        assert!(hits[0].message.contains("hot → helper → deeper"), "{}", hits[0].message);
-        assert_eq!(hits[0].file, "crates/datasets/src/util.rs");
-    }
-
-    #[test]
-    fn unreachable_bang_is_not_a_panic_source() {
-        let vs = analyze(&[(
-            "crates/nn/src/kernel.rs",
-            "pub fn hot(d: &mut [f32]) { par_chunks_mut(d, 2, |_, _, _| {}); let Some(x) = o else { unreachable!(\"proved\") }; }\n",
-        )]);
-        assert!(by_rule(&vs, RuleKind::PanicReachability).is_empty());
-    }
-
-    #[test]
     fn determinism_taint_flows_through_calls_and_lets() {
         let vs = analyze(&[(
             "crates/train/src/sched.rs",
@@ -817,34 +602,6 @@ mod tests {
             "pub fn reduce(xs: &[f32]) -> f32 { let n = max_threads(); let parts = split_even(xs.len(), n); amud_par::ordered_sum(xs) }\n",
         )]);
         assert!(by_rule(&vs, RuleKind::DeterminismTaint).is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn par_disjointness_accepts_providers_and_proofs_only() {
-        let bad = analyze(&[(
-            "crates/nn/src/k.rs",
-            "pub fn f(d: &mut [f32], mid: usize) { let parts = vec![0..mid, mid..d.len()]; amud_par::par_row_blocks_mut(d, 1, &parts, |_, _, _| {}); }\n",
-        )]);
-        assert_eq!(by_rule(&bad, RuleKind::ParDisjointness).len(), 1, "{bad:?}");
-
-        let derived = analyze(&[(
-            "crates/nn/src/k.rs",
-            "pub fn f(d: &mut [f32]) { let parts = split_even(d.len(), 4); amud_par::par_row_blocks_mut(d, 1, &parts, |_, _, _| {}); }\n",
-        )]);
-        assert!(by_rule(&derived, RuleKind::ParDisjointness).is_empty(), "{derived:?}");
-
-        let helper = analyze(&[(
-            "crates/nn/src/k.rs",
-            "fn tile_parts(n: usize) -> Vec<Range<usize>> { split_even(n, 4) }\n\
-             pub fn f(d: &mut [f32]) { amud_par::par_row_blocks_mut(d, 1, &tile_parts(d.len()), |_, _, _| {}); }\n",
-        )]);
-        assert!(by_rule(&helper, RuleKind::ParDisjointness).is_empty(), "{helper:?}");
-
-        let proved = analyze(&[(
-            "crates/nn/src/k.rs",
-            "pub fn f(d: &mut [f32]) { // DISJOINT: singleton ranges b..b+1 tile 0..n ascending without overlap\n let parts = vec![0..1]; amud_par::par_row_blocks_mut(d, 1, &parts, |_, _, _| {}); }\n",
-        )]);
-        assert!(by_rule(&proved, RuleKind::ParDisjointness).is_empty(), "{proved:?}");
     }
 
     #[test]

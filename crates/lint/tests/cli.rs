@@ -59,10 +59,8 @@ fn exit_1_on_each_path_governed_fixture() {
     // there with a relative argument (relative paths are kept verbatim as
     // labels). amud-quant is governed by cache-key-completeness AND
     // determinism-taint: its fixture trips both in a single run.
-    let cases: [(&str, &str, &[&str]); 6] = [
-        ("panic_reachability.rs", "crates/nn/src/fixture.rs", &["panic-reachability"]),
+    let cases: [(&str, &str, &[&str]); 4] = [
         ("determinism_taint.rs", "crates/train/src/fixture.rs", &["determinism-taint"]),
-        ("par_disjointness.rs", "crates/nn/src/fixture.rs", &["par-disjointness"]),
         ("error_taxonomy.rs", "crates/datasets/src/fixture.rs", &["error-taxonomy"]),
         ("serve_error_taxonomy.rs", "crates/serve/src/fixture.rs", &["error-taxonomy"]),
         (

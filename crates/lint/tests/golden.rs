@@ -85,16 +85,6 @@ fn cache_key_pass_golden() {
 }
 
 #[test]
-fn panic_reachability_pass_golden() {
-    // `.expect` in `factor`, reachable via kernel → scale → factor.
-    golden_check(
-        "panic_reachability.rs",
-        "crates/nn/src/fixture.rs",
-        &[(RuleKind::PanicReachability, 1)],
-    );
-}
-
-#[test]
 fn determinism_taint_pass_golden() {
     // Wall-clock taint into `ordered_sum`, env-var taint into `from_vec`.
     golden_check(
@@ -114,17 +104,6 @@ fn quant_crate_is_governed_golden() {
         "quant_key.rs",
         "crates/quant/src/fixture.rs",
         &[(RuleKind::CacheKeyCompleteness, 1), (RuleKind::DeterminismTaint, 1)],
-    );
-}
-
-#[test]
-fn par_disjointness_pass_golden() {
-    // Ad-hoc `vec![0..cut, …]` ranges with neither a partition provider
-    // nor a `// DISJOINT:` proof.
-    golden_check(
-        "par_disjointness.rs",
-        "crates/nn/src/fixture.rs",
-        &[(RuleKind::ParDisjointness, 1)],
     );
 }
 

@@ -320,8 +320,8 @@ impl DenseMatrix {
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.rows, self.cols);
         let parts = elem_parts(self.data.len());
-        // elem_parts ranges tile 0..data.len() — the same
-        // invariant the runtime disjointness sanitizer checks.
+        // elem_parts ranges tile 0..data.len(), which
+        // par_row_blocks_mut asserts.
         amud_par::par_row_blocks_mut(&mut out.data, 1, &parts, |_, range, chunk| {
             for (o, &x) in chunk.iter_mut().zip(&self.data[range]) {
                 *o = f(x);

@@ -5,6 +5,14 @@
 //! requested row ranges tile the buffer without overlap, then let each
 //! task reborrow exactly its own block. Everything else in the workspace
 //! builds on these two functions, so the unsafe surface stays here.
+//!
+//! The validation is plain `assert!`, on in release builds too, so a bad
+//! range set panics on the call's first run before any block exists. The
+//! rest of the argument is the type system's: `data` stays exclusively
+//! borrowed for the whole call, the closure is `Fn + Sync`, and each block
+//! is a `&mut [T]` that cannot outlive the call. No other crate may write
+//! `unsafe` (the workspace forbids it), so no second `&mut` into a block
+//! can be built outside this module.
 
 use crate::pool;
 use std::ops::Range;
@@ -61,24 +69,11 @@ where
         prev_end.checked_mul(stride).is_some_and(|n| n <= data.len()),
         "par_row_blocks_mut: ranges exceed the buffer"
     );
-    // Under `--features san` every call is an epoch in the shadow
-    // registry; the guard releases the epoch's blocks on return or unwind.
-    #[cfg(feature = "san")]
-    let san = crate::san::EpochGuard::begin();
     let base = SendPtr(data.as_mut_ptr());
     pool::run(parts.len(), |p| {
         let rows = parts[p].clone();
         let len = (rows.end - rows.start) * stride;
         let start = base.get().wrapping_add(rows.start * stride);
-        #[cfg(feature = "san")]
-        if len > 0 {
-            crate::san::record_block(
-                san.epoch(),
-                start as usize,
-                len * std::mem::size_of::<T>(),
-                rows.clone(),
-            );
-        }
         // SAFETY: `start`/`len` delimit exactly rows `rows` of `data`,
         // which the ascending-range assertions above proved in-bounds and
         // disjoint from every other task's block; `pool::run` gives part
@@ -159,5 +154,44 @@ mod tests {
     fn oversized_ranges_are_rejected() {
         let mut data = vec![0u8; 10];
         par_row_blocks_mut(&mut data, 4, &[0..3], |_, _, _| {});
+    }
+
+    /// Bad range sets the asserts must reject before any block is built.
+    /// Without `r.end >= r.start`, an inverted range would wrap
+    /// `rows.end - rows.start` in release builds and hand
+    /// `from_raw_parts_mut` a huge length; an overflowing row product
+    /// would wrap the same way.
+    #[test]
+    #[allow(clippy::reversed_empty_ranges, clippy::single_range_in_vec_init)]
+    fn malformed_range_sets_are_rejected() {
+        let cases: [(&str, usize, &[Range<usize>], &str); 4] = [
+            ("inverted range", 1, &[5..3], "ranges must ascend"),
+            ("descending disjoint ranges", 1, &[5..10, 0..5], "ranges must ascend"),
+            ("row product overflows", usize::MAX, &[0..2], "exceed the buffer"),
+            ("row product wraps to zero", 1 << (usize::BITS - 1), &[0..2], "exceed the buffer"),
+        ];
+        for threads in [1, 4] {
+            for (case, stride, parts, expected) in cases {
+                let ran = std::sync::atomic::AtomicBool::new(false);
+                let result = std::panic::catch_unwind(|| {
+                    let mut data = vec![0u8; 10];
+                    crate::with_threads(threads, || {
+                        par_row_blocks_mut(&mut data, stride, parts, |_, _, _| {
+                            ran.store(true, std::sync::atomic::Ordering::Relaxed);
+                        });
+                    });
+                });
+                let Err(payload) = result else {
+                    panic!("{case} (threads={threads}) was accepted");
+                };
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or_default();
+                assert!(msg.contains(expected), "{case}: panicked with {msg:?}");
+                assert!(!ran.into_inner(), "{case}: a task ran before the asserts");
+            }
+        }
     }
 }

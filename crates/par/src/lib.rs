@@ -63,8 +63,6 @@ mod fold;
 pub mod lanes;
 mod partition;
 mod pool;
-#[cfg(feature = "san")]
-pub mod san;
 mod service;
 
 pub use chunks::{par_chunks_mut, par_row_blocks_mut};

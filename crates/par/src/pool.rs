@@ -326,6 +326,64 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_job_unwinds_only_after_every_started_task_finished() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        /// Counts a task as finished when it leaves `f`, by return or unwind.
+        struct Finish<'a>(&'a AtomicUsize);
+        impl Drop for Finish<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        fn wait_for(flag: &AtomicBool) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        let caller = std::thread::current().id();
+        for threads in [2, 4] {
+            // Side 1 is the calling thread, side 0 the workers.
+            for panic_side in [1, 0] {
+                let started = AtomicUsize::new(0);
+                let finished = AtomicUsize::new(0);
+                let entered = [AtomicBool::new(false), AtomicBool::new(false)];
+                let claimed = AtomicBool::new(false);
+                let raised = AtomicBool::new(false);
+                let result = std::panic::catch_unwind(|| {
+                    crate::with_threads(threads, || {
+                        run(32, |_| {
+                            started.fetch_add(1, Ordering::SeqCst);
+                            let _finish = Finish(&finished);
+                            let side = usize::from(std::thread::current().id() == caller);
+                            entered[side].store(true, Ordering::SeqCst);
+                            if side == panic_side && !claimed.swap(true, Ordering::SeqCst) {
+                                // Panic only while the other side is inside a task.
+                                wait_for(&entered[1 - side]);
+                                raised.store(true, Ordering::SeqCst);
+                                panic!("planted task panic");
+                            }
+                            if side != panic_side {
+                                wait_for(&raised);
+                            }
+                            std::thread::sleep(Duration::from_millis(1));
+                        });
+                    })
+                });
+                let case = format!("threads={threads} panic_side={panic_side}");
+                assert!(result.is_err(), "{case}: the panic must reach the caller");
+                assert!(raised.load(Ordering::SeqCst), "{case}: the planted panic never ran");
+                assert_eq!(
+                    started.load(Ordering::SeqCst),
+                    finished.load(Ordering::SeqCst),
+                    "{case}: `run` unwound while a started task was still inside `f`"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn concurrent_callers_from_user_threads_are_safe() {
         // Two OS threads issuing jobs against the global pool at once: the
         // epoch/join protocol must never lose or double-run a task.
