@@ -103,13 +103,7 @@ fn seeded(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
 
 fn data_for(name: &str, seed: u64) -> GraphData {
     let d = replica(name, ReplicaScale::tiny(), seed);
-    match GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    ) {
+    match GraphData::from_dataset(&d) {
         Ok(g) => g,
         Err(e) => fail(&format!("replica {name}: {e}")),
     }

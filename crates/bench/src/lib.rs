@@ -105,14 +105,7 @@ pub fn report_verification(label: &str, model: &dyn amud_train::Model, input: &G
 /// Harness binaries have no recovery path for an inconsistent replica, so
 /// this exits with the error's code rather than returning a `Result`.
 pub fn to_graph_data(d: &Dataset) -> GraphData {
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .unwrap_or_else(|e| {
+    GraphData::from_dataset(d).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code())
     })

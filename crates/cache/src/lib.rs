@@ -7,7 +7,8 @@
 //! supplies the substrate the `amud_core::precompute` store is built on:
 //!
 //! * [`fingerprint`] — content fingerprints (FNV-1a 64) for sparse and
-//!   dense matrices, so cache keys address *values*, not identities;
+//!   dense matrices, so cache keys address *values*, not identities, and
+//!   the word-wise [`word_digest`] that seals snapshot artifacts;
 //! * [`store`] — a small mutex-guarded LRU map ([`SharedStore`]) bounding
 //!   what a long table run can pin in memory;
 //! * [`stats`] — process-wide atomic hit/miss/extend counters, surfaced in
@@ -33,7 +34,7 @@ pub mod fingerprint;
 pub mod stats;
 pub mod store;
 
-pub use fingerprint::{fingerprint_bytes, fingerprint_csr, fingerprint_dense, Fnv1a};
+pub use fingerprint::{fingerprint_bytes, fingerprint_csr, fingerprint_dense, word_digest, Fnv1a};
 pub use stats::{
     record_feat_extend, record_feat_hit, record_feat_miss, record_op_hit, record_op_miss,
     reset_stats, stats, CacheStats,

@@ -68,14 +68,8 @@ const ACTOR: Pinned = (
 
 fn bundle(name: &str) -> GraphData {
     let d = replica(name, ReplicaScale::default(), 0);
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
+    GraphData::from_dataset(&d)
+        .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn report_bits(report: &AmudReport) -> (u64, Vec<[u64; 4]>) {

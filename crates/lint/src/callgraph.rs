@@ -8,13 +8,15 @@
 //! same-name edge than miss a real one.
 //!
 //! One refinement keeps the over-approximation useful: a path-qualified
-//! call `Type::name(…)` resolves only to symbols defined in a file that
-//! has an `impl` header mentioning `Type`, and `Self::name(…)` resolves
-//! only within the caller's own file. Without this, every `Vec::new()`
-//! would alias every `new` constructor in the workspace and taint would
-//! flow through all of them.
+//! call `Type::name(…)` resolves only to symbols defined inside an `impl`
+//! block whose header mentions `Type` (as the self type or the trait),
+//! and `Self::name(…)` only to symbols of the caller's own self type in
+//! the caller's file. Without this, every `Vec::new()` would alias every
+//! `new` constructor in the workspace, and `Plain::new()` every `new` in
+//! a file that also implements `Tuned`, and taint would flow through all
+//! of them.
 
-use crate::index::{next_code, prev_code, FileIndex};
+use crate::index::{match_delim, next_code, prev_code, FileIndex};
 use crate::symbols::SymbolTable;
 use crate::tokenizer::TokKind;
 
@@ -44,35 +46,69 @@ pub struct CallGraph {
     pub sites: Vec<Vec<CallSite>>,
 }
 
-/// Uppercase identifiers appearing in the file's `impl` headers (type
-/// names, trait names, generic bounds — an over-approximate "this file
-/// implements something for `T`" set used to filter `T::name(…)` calls).
-fn impl_header_types(ix: &FileIndex) -> std::collections::BTreeSet<String> {
-    let mut out = std::collections::BTreeSet::new();
+/// One `impl` block: its body's token range, the uppercase identifiers
+/// of its header (type, trait and bound names) and its self type.
+struct ImplBlock {
+    body: std::ops::Range<usize>,
+    header: std::collections::BTreeSet<String>,
+    self_ty: Option<String>,
+}
+
+/// Every live `impl` block of a file. The self type is the first
+/// uppercase identifier after a depth-0 `for`, else the first one after
+/// the generic parameter list (`impl<T: Bound> Type<T>`).
+fn impl_blocks(ix: &FileIndex) -> Vec<ImplBlock> {
+    let mut out = Vec::new();
     for i in 0..ix.toks.len() {
         if !ix.is_live(i) || !ix.toks[i].is_ident("impl") {
             continue;
         }
+        let mut header = std::collections::BTreeSet::new();
+        let (mut first, mut after_for) = (None, None);
+        let (mut angle, mut saw_for) = (0isize, false);
         let mut j = i + 1;
         while j < ix.toks.len() {
             let t = &ix.toks[j];
             if t.is_punct("{") || t.is_punct(";") {
                 break;
             }
+            match t.text.as_str() {
+                "<" if t.kind == TokKind::Punct => angle += 1,
+                ">" if t.kind == TokKind::Punct => angle -= 1,
+                ">>" if t.kind == TokKind::Punct => angle -= 2,
+                "for" if t.kind == TokKind::Ident && angle == 0 => saw_for = true,
+                _ => {}
+            }
             if t.kind == TokKind::Ident && t.text.chars().next().is_some_and(char::is_uppercase) {
-                out.insert(t.text.clone());
+                header.insert(t.text.clone());
+                let slot = if saw_for { &mut after_for } else { &mut first };
+                if (saw_for || angle == 0) && slot.is_none() {
+                    *slot = Some(t.text.clone());
+                }
             }
             j += 1;
         }
+        let body = if ix.toks.get(j).is_some_and(|t| t.is_punct("{")) {
+            j..match_delim(&ix.toks, j).map_or(ix.toks.len(), |c| c + 1)
+        } else {
+            j..j
+        };
+        out.push(ImplBlock { body, header, self_ty: after_for.or(first) });
     }
     out
+}
+
+/// The innermost impl block whose body holds token `at`.
+fn enclosing(blocks: &[ImplBlock], at: usize) -> Option<&ImplBlock> {
+    blocks.iter().filter(|b| b.body.contains(&at)).max_by_key(|b| b.body.start)
 }
 
 impl CallGraph {
     /// Extracts call sites from every symbol body and resolves them.
     pub fn build(files: &[(String, FileIndex)], syms: &SymbolTable) -> CallGraph {
-        let impl_types: Vec<std::collections::BTreeSet<String>> =
-            files.iter().map(|(_, ix)| impl_header_types(ix)).collect();
+        let blocks: Vec<Vec<ImplBlock>> = files.iter().map(|(_, ix)| impl_blocks(ix)).collect();
+        let impl_of: Vec<Option<&ImplBlock>> =
+            syms.symbols.iter().map(|t| enclosing(&blocks[t.file], t.at)).collect();
         let mut sites: Vec<Vec<CallSite>> = Vec::with_capacity(syms.len());
         for s in &syms.symbols {
             let ix = &files[s.file].1;
@@ -99,12 +135,13 @@ impl CallGraph {
                     .and_then(|p| prev_code(&ix.toks, p))
                     .filter(|&q| ix.toks[q].kind == TokKind::Ident)
                     .map(|q| ix.toks[q].text.as_str());
+                let self_ty = |id: usize| impl_of[id].and_then(|b| b.self_ty.as_deref());
                 let mut targets = Vec::new();
                 for &t in syms.resolve(name) {
                     let keep = match qualifier {
-                        Some("Self") => syms.get(t).file == s.file,
+                        Some("Self") => syms.get(t).file == s.file && self_ty(t) == self_ty(s.id),
                         Some(q) if q.chars().next().is_some_and(char::is_uppercase) => {
-                            impl_types[syms.get(t).file].contains(q)
+                            impl_of[t].is_some_and(|b| b.header.contains(q))
                         }
                         // Lowercase qualifiers are module paths — those
                         // rarely collide, so bare-name resolution stands.

@@ -364,25 +364,33 @@ fn pass_determinism_taint(
 
     // Summary fixpoint: which params carry taint in, which returns carry
     // taint out. Monotone over finite sets, so it terminates.
+    //
+    // A return counts as tainted only from the function's own sources
+    // (its body and its callees' tainted returns), never from a tainted
+    // parameter: a caller passing taint in already sees it in its own
+    // argument tokens, and a summary that kept the parameter's taint
+    // would taint every other caller's result too.
     let mut param_taint: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); syms.len()];
     let mut returns_taint = vec![false; syms.len()];
+    let no_params = BTreeSet::new();
     loop {
         let mut changed = false;
         for s in &syms.symbols {
             let ix = &files[s.file].1;
-            let tainted =
-                local_taint(ix, &s.params, &param_taint[s.id], &facts[s.id], syms, &returns_taint);
+            let own = local_taint(ix, &s.params, &no_params, &facts[s.id], syms, &returns_taint);
             if !returns_taint[s.id]
                 && !SHAPE_PURE.contains(&s.name.as_str())
                 && !facts[s.id].pure_names.contains(&s.name)
                 && facts[s.id]
                     .returns
                     .iter()
-                    .any(|r| range_tainted(ix, r, &tainted, &facts[s.id], syms, &returns_taint))
+                    .any(|r| range_tainted(ix, r, &own, &facts[s.id], syms, &returns_taint))
             {
                 returns_taint[s.id] = true;
                 changed = true;
             }
+            let tainted =
+                local_taint(ix, &s.params, &param_taint[s.id], &facts[s.id], syms, &returns_taint);
             for call in &facts[s.id].calls {
                 if SHAPE_PURE.contains(&call.callee.as_str()) {
                     continue;

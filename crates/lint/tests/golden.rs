@@ -95,6 +95,17 @@ fn determinism_taint_pass_golden() {
 }
 
 #[test]
+fn determinism_taint_resolves_same_name_constructors_by_type_golden() {
+    // Two `new`s in one file, only `Tuned::new` reads an env var: only its
+    // callers are flagged, directly and through the pass-through `doubled`.
+    golden_check(
+        "taint_same_name.rs",
+        "crates/train/src/fixture.rs",
+        &[(RuleKind::DeterminismTaint, 2)],
+    );
+}
+
+#[test]
 fn quant_crate_is_governed_golden() {
     // amud-quant is governed like the cache layer: `lookup_dropping_scale`
     // omits its per-tensor `scale` from the store key (1 × cache-key), and

@@ -16,7 +16,7 @@
 //!   swaps happen here, strictly *between* batches.
 //! * **watcher** — polls the snapshot path. It reads the file only when
 //!   its `(len, mtime, inode)` stamp changed or its mtime is under 2 s
-//!   old. When the bytes' fingerprint changes it validates the candidate
+//!   old. When the bytes' word digest changes it validates the candidate
 //!   end-to-end (parse, seals, shape check) and stages it for the
 //!   batcher. A candidate that fails validation bumps the `degraded`
 //!   counter and the server keeps answering from the last-good engine —
@@ -39,7 +39,7 @@ use crate::engine::Engine;
 use crate::error::{ServeError, SnapshotError};
 use crate::queue::{AdmissionQueue, Reply, Request};
 use crate::snapshot::{decode_snapshot, Snapshot};
-use amud_cache::fingerprint_bytes;
+use amud_cache::word_digest;
 use amud_par::{spawn_service, ServiceHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -161,7 +161,7 @@ pub struct Server {
 /// Loads the snapshot with bounded retry + exponential backoff on
 /// *transient* errors (a file mid-replacement, a racing writer). Content
 /// errors — bad magic, seal mismatch, malformed shapes — are permanent
-/// and returned immediately. Also returns the byte fingerprint, which
+/// and returned immediately. Also returns the bytes' word digest, which
 /// seeds the watcher's change detection.
 fn load_with_retry(cfg: &ServerConfig) -> Result<(Snapshot, u64), ServeError> {
     let mut backoff = cfg.load_backoff_ms;
@@ -171,7 +171,7 @@ fn load_with_retry(cfg: &ServerConfig) -> Result<(Snapshot, u64), ServeError> {
         let r = std::fs::read(&cfg.snapshot_path)
             .map_err(|e| SnapshotError::Io { op: "read", message: e.to_string() })
             .and_then(|bytes| {
-                let fp = fingerprint_bytes(&bytes);
+                let fp = word_digest(&bytes);
                 decode_snapshot(&bytes).map(|s| (s, fp))
             });
         match r {
@@ -624,7 +624,7 @@ fn watcher_loop(shared: &Arc<Shared>, initial_fp: u64) {
         // the next tick — the poll interval *is* the backoff.
         let Ok(bytes) = std::fs::read(&shared.cfg.snapshot_path) else { continue };
         last_read = now;
-        let fp = fingerprint_bytes(&bytes);
+        let fp = word_digest(&bytes);
         if fp == last_fp {
             continue;
         }

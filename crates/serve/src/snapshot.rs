@@ -8,10 +8,10 @@
 //!   sibling, `sync_all`s it, and `rename`s it over the destination, so a
 //!   reader never observes a half-written file at the published path.
 //! * **Per-section integrity seals.** The three sections (META, WEIGHTS,
-//!   FEATURES) each carry an FNV-1a fingerprint
-//!   ([`amud_cache::fingerprint_bytes`]) of their payload; a whole-file
-//!   seal covers the framing. Any bit flip, truncation, or splice fails a
-//!   seal before a single payload byte is trusted.
+//!   FEATURES) each carry a word digest ([`amud_cache::word_digest`]) of
+//!   their payload; a whole-file seal covers the framing, including those
+//!   section seals. Any bit flip, truncation, or splice fails a seal
+//!   before a single payload byte is trusted.
 //! * **Typed rejection.** Every failure mode is a [`SnapshotError`]
 //!   variant — never a panic, never a silently partial model. The
 //!   property tests mutate and truncate snapshots byte-by-byte and assert
@@ -21,34 +21,47 @@
 //!
 //! ```text
 //! magic    8 B   "AMUDSNP\n"
-//! version  u32   2 (v1 files are still decoded; see below)
+//! version  u32   3 (v1 and v2 files are still decoded; see below)
 //! tag      u64   caller-chosen (seed, build id, …)
 //! n_sect   u32   3
-//! 3 × section:   tag u32 · len u64 · payload · seal u64 = fnv(payload)
-//! file seal u64  fnv(everything above)
+//! 3 × section:   tag u32 · len u64 · payload · seal u64 = digest(payload)
+//! file seal u64  digest(magic · version · tag · n_sect · 3 × (tag · len · seal))
 //! ```
 //!
-//! **Version 2** (quantized sections): every weight/feature matrix is
-//! written as `precision u32 · rows u32 · cols u32 · payload`, where the
+//! **Seals (v3).** Each payload byte is hashed once on encode and once on
+//! decode: the section seal is the word digest of the payload (its
+//! length, then 8-byte words, then the zero-padded tail). The digest
+//! steps are bijections on its state, so two equal-length payloads that
+//! differ in one word always seal differently. The file seal hashes only
+//! the framing; every payload byte reaches it through its section's seal.
+//!
+//! **Matrices** (v2 and v3): every weight/feature matrix is written as
+//! `precision u32 · rows u32 · cols u32 · payload`, where the
 //! payload is raw f32 little-endian words (precision 0) or one f32 scale
 //! followed by raw int8 bytes (precision 2). Biases are always f32.
 //! Precision code 1 is reserved: it was binary16, which is retired, and
 //! is never reused. A matrix carrying it fails decode as
 //! [`SnapshotError::Malformed`] with a message asking for an int8
-//! re-export. **Version 1** had no precision prefix (all matrices f32);
-//! v1 files decode into the same [`Snapshot`] with every matrix wrapped
-//! at f32, so pre-quantization artifacts keep working. Writers always
-//! emit v2. Seals and framing are identical across both versions.
+//! re-export.
+//!
+//! **Older versions.** v2 has the v3 layout with byte-wise FNV-1a seals
+//! ([`amud_cache::fingerprint_bytes`] per section, FNV-1a over every byte
+//! before the trailer for the file seal). v1 has the v2 seals and no
+//! precision prefix (all matrices f32); it decodes into the same
+//! [`Snapshot`] with every matrix wrapped at f32, so pre-quantization
+//! artifacts keep working. The version word picks the seal scheme, so a
+//! file whose version word was rewritten fails its seals. Writers always
+//! emit v3.
 
 use crate::error::SnapshotError;
-use amud_cache::{fingerprint_bytes, Fnv1a};
+use amud_cache::{fingerprint_bytes, word_digest, Fnv1a};
 use amud_core::{DpAttention, QLinear, QuantizedExport};
 use amud_nn::DenseMatrix;
 use amud_quant::{Precision, QMatrix, QuantSpec};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"AMUDSNP\n";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const SECTION_META: u32 = 1;
 const SECTION_WEIGHTS: u32 = 2;
 const SECTION_FEATURES: u32 = 3;
@@ -156,41 +169,59 @@ fn encode_meta(s: &Snapshot) -> Vec<u8> {
     out
 }
 
-fn encode_weights(s: &Snapshot) -> Vec<u8> {
+fn put_weights(out: &mut Vec<u8>, s: &Snapshot) {
     let e = &s.export;
-    let mut out = Vec::new();
-    put_u32(&mut out, u32::from(e.w_dp.is_some()));
+    put_u32(out, u32::from(e.w_dp.is_some()));
     if let Some(w) = &e.w_dp {
-        put_qmatrix(&mut out, w);
+        put_qmatrix(out, w);
     }
-    put_u32(&mut out, e.op_scorers.len() as u32);
+    put_u32(out, e.op_scorers.len() as u32);
     for l in &e.op_scorers {
-        put_qlinear(&mut out, l);
+        put_qlinear(out, l);
     }
-    put_qlinear(&mut out, &e.fuse);
-    put_u32(&mut out, u32::from(e.hop_scorer.is_some()));
+    put_qlinear(out, &e.fuse);
+    put_u32(out, u32::from(e.hop_scorer.is_some()));
     if let Some(l) = &e.hop_scorer {
-        put_qlinear(&mut out, l);
+        put_qlinear(out, l);
     }
-    put_u32(&mut out, e.classifier.len() as u32);
+    put_u32(out, e.classifier.len() as u32);
     for l in &e.classifier {
-        put_qlinear(&mut out, l);
+        put_qlinear(out, l);
     }
-    out
 }
 
-fn encode_features(s: &Snapshot) -> Vec<u8> {
+fn put_features(out: &mut Vec<u8>, s: &Snapshot) {
     let e = &s.export;
-    let mut out = Vec::new();
-    put_qmatrix(&mut out, &e.x0);
-    put_u32(&mut out, e.steps.len() as u32);
-    put_u32(&mut out, e.steps.first().map_or(0, Vec::len) as u32);
+    put_qmatrix(out, &e.x0);
+    put_u32(out, e.steps.len() as u32);
+    put_u32(out, e.steps.first().map_or(0, Vec::len) as u32);
     for per_step in &e.steps {
         for m in per_step {
-            put_qmatrix(&mut out, m);
+            put_qmatrix(out, m);
         }
     }
-    out
+}
+
+/// Appends one section (`tag · len · payload · seal`) with the payload
+/// written in place and sealed once, and its `tag · len · seal` to
+/// `framing`, the file seal's input.
+fn put_section(
+    out: &mut Vec<u8>,
+    framing: &mut Vec<u8>,
+    tag: u32,
+    put_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    put_u32(out, tag);
+    let len_at = out.len();
+    put_u64(out, 0); // patched once the payload is written
+    put_payload(out);
+    let payload = &out[len_at + 8..];
+    let (len, seal) = (payload.len() as u64, word_digest(payload));
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    put_u64(out, seal);
+    put_u32(framing, tag);
+    put_u64(framing, len);
+    put_u64(framing, seal);
 }
 
 /// Serializes a snapshot to its on-disk byte layout (see module docs).
@@ -200,20 +231,11 @@ pub fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
     put_u32(&mut out, VERSION);
     put_u64(&mut out, s.tag);
     put_u32(&mut out, 3);
-    for (tag, payload) in [
-        (SECTION_META, encode_meta(s)),
-        (SECTION_WEIGHTS, encode_weights(s)),
-        (SECTION_FEATURES, encode_features(s)),
-    ] {
-        put_u32(&mut out, tag);
-        put_u64(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        put_u64(&mut out, fingerprint_bytes(&payload));
-    }
-    let mut fnv = Fnv1a::new();
-    fnv.write_bytes(&out);
-    let file_seal = fnv.finish();
-    put_u64(&mut out, file_seal);
+    let mut framing = out.clone();
+    put_section(&mut out, &mut framing, SECTION_META, |o| o.extend_from_slice(&encode_meta(s)));
+    put_section(&mut out, &mut framing, SECTION_WEIGHTS, |o| put_weights(o, s));
+    put_section(&mut out, &mut framing, SECTION_FEATURES, |o| put_features(o, s));
+    put_u64(&mut out, word_digest(&framing));
     out
 }
 
@@ -397,12 +419,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = hdr.u32()?;
-    if version != 1 && version != VERSION {
+    if !(1..=VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
     // v1 predates quantized sections: plain f32 matrices, no precision
     // prefix. Decoded as the f32 wrap of the same model.
     let legacy = version == 1;
+    // v1 and v2 seal with byte-wise FNV-1a, v3 with the word digest.
+    let seal_of: fn(&[u8]) -> u64 =
+        if version == VERSION { word_digest } else { fingerprint_bytes };
     let tag = hdr.u64()?;
     let n_sections = hdr.u32()?;
     if n_sections != 3 {
@@ -411,6 +436,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         });
     }
     let mut pos = hdr.pos;
+    // v3's file seal input: the header, then each section's tag · len · seal.
+    let mut framing = bytes[..pos].to_vec();
 
     let mut payloads: [&[u8]; 3] = [&[], &[], &[]];
     for (i, expect_tag) in [SECTION_META, SECTION_WEIGHTS, SECTION_FEATURES].iter().enumerate() {
@@ -429,19 +456,28 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
             .ok_or(SnapshotError::Truncated { section })?;
         let payload = r.take(len)?;
         let seal = r.u64()?;
-        if seal != fingerprint_bytes(payload) {
+        if seal != seal_of(payload) {
             return Err(SnapshotError::SealMismatch { section });
         }
+        put_u32(&mut framing, tag);
+        put_u64(&mut framing, len as u64);
+        put_u64(&mut framing, seal);
         payloads[i] = payload;
         pos = r.pos;
     }
 
-    // Whole-file seal over everything before it, then nothing after.
+    // The file seal, then nothing after. v3 seals the framing (the
+    // payloads are already sealed); v1 and v2 seal every byte before it.
     let mut tr = Reader { buf: bytes, pos, section: "trailer" };
     let file_seal = tr.u64()?;
-    let mut fnv = Fnv1a::new();
-    fnv.write_bytes(&bytes[..pos]);
-    if file_seal != fnv.finish() {
+    let expected = if version == VERSION {
+        word_digest(&framing)
+    } else {
+        let mut fnv = Fnv1a::new();
+        fnv.write_bytes(&bytes[..pos]);
+        fnv.finish()
+    };
+    if file_seal != expected {
         return Err(SnapshotError::SealMismatch { section: "trailer" });
     }
     if tr.pos != bytes.len() {

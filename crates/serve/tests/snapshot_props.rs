@@ -11,7 +11,7 @@ use amud_serve::synthetic::synthetic_snapshot;
 use proptest::prelude::*;
 
 /// A mixed-precision (int8 features, f32 weights) snapshot — every
-/// payload layout in the v2 format at once.
+/// payload layout of the snapshot format at once.
 fn quantized_fixture(seed: u64) -> Snapshot {
     synthetic_snapshot(seed, 6, 3, 2, 2, 4, 0)
         .requantized(QuantSpec { features: Precision::I8, weights: Precision::F32 })

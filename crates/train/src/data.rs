@@ -1,6 +1,7 @@
 //! The data bundle consumed by every model.
 
 use crate::error::TrainError;
+use amud_datasets::Dataset;
 use amud_graph::{CsrMatrix, DiGraph};
 use amud_nn::DenseMatrix;
 use std::rc::Rc;
@@ -80,6 +81,18 @@ impl GraphData {
             val: Rc::new(val),
             test: Rc::new(test),
         })
+    }
+
+    /// The bundle of a generated dataset: its graph, features and split,
+    /// validated as in [`GraphData::new`].
+    pub fn from_dataset(d: &Dataset) -> Result<Self, TrainError> {
+        Self::new(
+            &d.graph,
+            d.features.clone(),
+            d.split.train.clone(),
+            d.split.val.clone(),
+            d.split.test.clone(),
+        )
     }
 
     pub fn n_nodes(&self) -> usize {

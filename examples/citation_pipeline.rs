@@ -15,13 +15,7 @@ use amud_repro::train::{repeat_runs, GraphData, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = replica("cora_ml", ReplicaScale::default(), 11);
-    let data = GraphData::new(
-        &dataset.graph,
-        dataset.features.clone(),
-        dataset.split.train.clone(),
-        dataset.split.val.clone(),
-        dataset.split.test.clone(),
-    )?;
+    let data = GraphData::from_dataset(&dataset)?;
 
     // Homophily audit, directed vs undirected view (Table I's comparison).
     let d_report = homophily_report(&dataset.graph);

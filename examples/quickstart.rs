@@ -13,13 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A "newly collected" digraph: the Chameleon replica — heterophilous
     //    wiki-page network whose edge *orientation* carries class signal.
     let dataset = replica("chameleon", ReplicaScale::default(), 7);
-    let data = GraphData::new(
-        &dataset.graph,
-        dataset.features.clone(),
-        dataset.split.train.clone(),
-        dataset.split.val.clone(),
-        dataset.split.test.clone(),
-    )?;
+    let data = GraphData::from_dataset(&dataset)?;
     println!(
         "dataset: {} ({} nodes, {} directed edges, {} classes)",
         dataset.name(),

@@ -8,19 +8,9 @@
 
 use amud_repro::core::{Adpa, AdpaConfig};
 use amud_repro::datasets::sparsify::{drop_edges, limit_labels, mask_features};
-use amud_repro::datasets::{replica, Dataset, ReplicaScale};
+use amud_repro::datasets::{replica, ReplicaScale};
 use amud_repro::models::dirgnn::DirGnn;
 use amud_repro::train::{train, GraphData, TrainConfig, TrainError};
-
-fn bundle(d: &Dataset) -> Result<GraphData, TrainError> {
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-}
 
 fn eval(data: &GraphData) -> Result<(f64, f64), TrainError> {
     let cfg = TrainConfig {
@@ -42,25 +32,25 @@ fn main() -> Result<(), TrainError> {
     println!("squirrel replica: {} nodes, {} edges\n", base.n_nodes(), base.graph.n_edges());
     println!("{:<28} {:>8} {:>8}", "stressor", "ADPA", "DirGNN");
 
-    let (a, d) = eval(&bundle(&base)?)?;
+    let (a, d) = eval(&GraphData::from_dataset(&base)?)?;
     println!("{:<28} {a:>8.3} {d:>8.3}", "none");
 
     for frac in [0.4, 0.8] {
-        let (a, d) = eval(&bundle(&mask_features(&base, frac, 1))?)?;
+        let (a, d) = eval(&GraphData::from_dataset(&mask_features(&base, frac, 1))?)?;
         println!(
             "{:<28} {a:>8.3} {d:>8.3}",
             format!("features masked {frac:.0}%", frac = frac * 100.0)
         );
     }
     for frac in [0.4, 0.8] {
-        let (a, d) = eval(&bundle(&drop_edges(&base, frac, 2))?)?;
+        let (a, d) = eval(&GraphData::from_dataset(&drop_edges(&base, frac, 2))?)?;
         println!(
             "{:<28} {a:>8.3} {d:>8.3}",
             format!("edges removed {frac:.0}%", frac = frac * 100.0)
         );
     }
     for per_class in [10usize, 3] {
-        let (a, d) = eval(&bundle(&limit_labels(&base, per_class))?)?;
+        let (a, d) = eval(&GraphData::from_dataset(&limit_labels(&base, per_class))?)?;
         println!("{:<28} {a:>8.3} {d:>8.3}", format!("labels/class = {per_class}"));
     }
     println!("\nExpected: both degrade with sparsity, ADPA more gracefully (larger receptive field\nvia K-step DP propagation compensates for missing local signal).");

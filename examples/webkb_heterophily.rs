@@ -16,13 +16,7 @@ use amud_repro::train::{train, GraphData, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = replica("texas", ReplicaScale::default(), 5);
-    let data = GraphData::new(
-        &dataset.graph,
-        dataset.features.clone(),
-        dataset.split.train.clone(),
-        dataset.split.val.clone(),
-        dataset.split.test.clone(),
-    )?;
+    let data = GraphData::from_dataset(&dataset)?;
 
     // AMUD: strongly oriented heterophily → keep the digraph.
     let (prepared, report, par) = paradigm::prepare_topology(&data);

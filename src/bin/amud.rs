@@ -59,14 +59,7 @@ fn load_dataset(arg: &str) -> Dataset {
 }
 
 fn to_bundle(d: &Dataset) -> GraphData {
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .unwrap_or_else(|e| die(&e.to_string(), e.exit_code()))
+    GraphData::from_dataset(d).unwrap_or_else(|e| die(&e.to_string(), e.exit_code()))
 }
 
 fn die(msg: &str, code: i32) -> ! {

@@ -7,14 +7,8 @@ use amud_repro::train::{train, GraphData, TrainConfig};
 
 fn bundle(name: &str, seed: u64) -> GraphData {
     let d = replica(name, ReplicaScale::tiny(), seed);
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
+    GraphData::from_dataset(&d)
+        .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn quick() -> TrainConfig {
@@ -90,14 +84,7 @@ fn all_fourteen_replicas_flow_through_the_pipeline() {
         // replicas (300 nodes) sit below its small-sample resolution just
         // as a 300-node CiteSeer subsample would.
         let d = replica(name, ReplicaScale::default(), 4);
-        let data = GraphData::new(
-            &d.graph,
-            d.features.clone(),
-            d.split.train.clone(),
-            d.split.val.clone(),
-            d.split.test.clone(),
-        )
-        .unwrap();
+        let data = GraphData::from_dataset(&d).unwrap();
         let (report, par) = paradigm::decide(&data);
         let expected = match regime {
             AmudRegime::Directed => Paradigm::II,

@@ -42,14 +42,7 @@ fn sample_indices(len: usize) -> [usize; 12] {
 #[test]
 fn training_results_match_the_recorded_seed_run() {
     let d = replica("cora_ml", ReplicaScale::tiny(), 0);
-    let data = GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .expect("replica bundle is well-formed");
+    let data = GraphData::from_dataset(&d).expect("replica bundle is well-formed");
     let (prepared, _, _) = paradigm::prepare_topology(&data);
     let mut model = Adpa::new(&prepared, AdpaConfig::default(), 0).expect("default config");
     let cfg =

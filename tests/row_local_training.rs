@@ -131,14 +131,8 @@ fn assert_loops_agree<M: Model>(
 
 fn bundle(name: &str, scale: ReplicaScale, seed: u64) -> GraphData {
     let d = replica(name, scale, seed);
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
+    GraphData::from_dataset(&d)
+        .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn cfg(epochs: usize) -> TrainConfig {

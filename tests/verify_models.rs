@@ -14,14 +14,8 @@ use amud_repro::train::{verify_model, GraphData};
 
 fn bundle(name: &str, seed: u64) -> GraphData {
     let d = replica(name, ReplicaScale::tiny(), seed);
-    GraphData::new(
-        &d.graph,
-        d.features.clone(),
-        d.split.train.clone(),
-        d.split.val.clone(),
-        d.split.test.clone(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
+    GraphData::from_dataset(&d)
+        .unwrap_or_else(|e| panic!("{name}: the replica does not assemble: {e}"))
 }
 
 fn assert_clean(name: &str, dataset: &str, diags: &[amud_repro::nn::Diagnostic]) {
