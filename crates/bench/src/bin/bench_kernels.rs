@@ -2,10 +2,11 @@
 //!
 //! Times every runtime-backed kernel (`matmul`, `matmul_transb`,
 //! `matmul_transa`, `CsrMatrix::spmm`, and the elementwise/softmax layer)
-//! at dataset-scale shapes, once with a 1-thread budget (exact serial
-//! fallback) and once with the full `AMUD_THREADS` budget, and writes
-//! machine-readable results to `BENCH_kernels.json`. Every pair is also
-//! compared bitwise, so the report doubles as an equivalence check.
+//! and the boolean SpGEMM `CsrMatrix::bool_matmul` at dataset-scale
+//! shapes, once with a 1-thread budget (exact serial fallback) and once
+//! with the full `AMUD_THREADS` budget, and writes machine-readable
+//! results to `BENCH_kernels.json`. Every pair is also compared bitwise,
+//! so the report doubles as an equivalence check.
 //!
 //! ```text
 //! cargo run --release -p amud-bench --bin bench-kernels             # full shapes
@@ -24,6 +25,13 @@
 //! replicas: most of its 4-element weight blocks are all zero, so those
 //! rows time the kernels' zero skip, which the dense rows never take.
 //!
+//! The `bool_matmul` rows time the 2-hop product `A·A` that builds the
+//! 2-order DP operators. The `dsbm` rows are sparse DSBM digraphs of
+//! average degree 8, whose product rows hold a few dozen columns. The
+//! `squirrel` row is the full-scale squirrel replica (2,223 nodes, 65.7k
+//! edges), whose product holds about two thirds of all ordered pairs.
+//! `bool_matmul` is serial, so its parallel column repeats the serial run.
+//!
 //! Speedup expectations are hardware-gated: when the parallel budget
 //! collapses to 1 thread the "parallel" run *is* the serial run (same
 //! budget, same partition, same code), so each kernel is measured once and
@@ -31,10 +39,10 @@
 //! field records what the numbers were measured on.
 //!
 //! Throughput columns are derived from `serial_ms` with fixed per-kernel
-//! formulas (documented on [`gemm_model`], [`stream_model`], and
-//! [`spmm_model`]) — they are *algorithmic* flop/traffic counts, not
-//! hardware counters, so they stay comparable across hosts and code
-//! versions.
+//! formulas (documented on [`gemm_model`], [`stream_model`],
+//! [`spmm_model`], and [`spgemm_model`]) — they are *algorithmic*
+//! flop/traffic counts, not hardware counters, so they stay comparable
+//! across hosts and code versions.
 //!
 //! `--check <baseline.json>` re-reads a previously committed report and
 //! fails (exit 1) if any kernel/shape present in both runs regressed its
@@ -45,6 +53,7 @@
 //! absent from the baseline (e.g. smoke-only shapes) are skipped.
 
 use amud_bench::{bench_args, check_serial_ms, BenchArgs};
+use amud_datasets::{replica, DsbmConfig, InterClassStructure, ReplicaScale};
 use amud_graph::CsrMatrix;
 use amud_nn::DenseMatrix;
 use rand::rngs::StdRng;
@@ -84,6 +93,34 @@ fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
 
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// What one timed call returns: a dense result, or a sparse one from
+/// `bool_matmul`.
+#[derive(Clone)]
+enum Output {
+    Dense(DenseMatrix),
+    Sparse(CsrMatrix),
+}
+
+impl Output {
+    /// Equal shapes, equal stored entries and equal value bits.
+    fn same_bits(&self, other: &Output) -> bool {
+        match (self, other) {
+            (Output::Dense(a), Output::Dense(b)) => bits_equal(a.as_slice(), b.as_slice()),
+            (Output::Sparse(a), Output::Sparse(b)) => {
+                a.same_pattern(b)
+                    && a.iter().zip(b.iter()).all(|(x, y)| x.2.to_bits() == y.2.to_bits())
+            }
+            _ => false,
+        }
+    }
+}
+
+impl From<DenseMatrix> for Output {
+    fn from(m: DenseMatrix) -> Self {
+        Output::Dense(m)
+    }
 }
 
 fn seeded(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
@@ -126,10 +163,23 @@ fn skewed_operator(n: usize, seed: u64) -> CsrMatrix {
     }
 }
 
+/// DSBM digraph at node count `n` and average degree 8: heterophilous,
+/// oriented, cyclic between its 5 classes.
+fn dsbm_adjacency(n: usize) -> CsrMatrix {
+    let mut rng = StdRng::seed_from_u64(0);
+    DsbmConfig::new(n, n * 8, 5)
+        .with_homophily(0.3)
+        .with_direction_informativeness(0.7)
+        .with_structure(InterClassStructure::Cyclic)
+        .generate(&mut rng)
+        .adjacency()
+        .clone()
+}
+
 /// One timed call of a kernel, returning its output so the serial and
 /// parallel runs can be compared bit for bit. The output is moved out,
 /// not copied, so the timing holds the kernel and nothing else.
-type Run<'a> = Box<dyn Fn() -> DenseMatrix + 'a>;
+type Run<'a> = Box<dyn Fn() -> Output + 'a>;
 
 /// One kernel at one shape.
 struct Case<'a> {
@@ -145,9 +195,9 @@ struct Case<'a> {
 /// case once, so a slow stretch of the host slows all cases alike
 /// instead of one kernel's whole series. A first untimed round warms the
 /// caches and the pool.
-fn time_rounds(cases: &[Case<'_>], reps: usize, threads: usize) -> (Vec<f64>, Vec<DenseMatrix>) {
+fn time_rounds(cases: &[Case<'_>], reps: usize, threads: usize) -> (Vec<f64>, Vec<Output>) {
     amud_par::with_threads(threads, || {
-        let outputs: Vec<DenseMatrix> = cases.iter().map(|c| (c.run)()).collect();
+        let outputs: Vec<Output> = cases.iter().map(|c| (c.run)()).collect();
         let mut best = vec![f64::INFINITY; cases.len()];
         for _ in 0..reps {
             for (case, best) in cases.iter().zip(&mut best) {
@@ -183,6 +233,16 @@ fn spmm_model(n: usize, x_cols: usize, nnz: usize) -> (f64, f64) {
     ((2 * nnz * x_cols) as f64, (4 * (2 * nnz + nnz * x_cols + n * x_cols)) as f64)
 }
 
+/// Throughput model for `bool_matmul` `a · b`: one op per 2-hop path
+/// (`Σ_r Σ_{k ∈ row r of a} nnz(row k of b)`, each a bit test, so GFLOP/s
+/// reads as giga-paths per second); traffic reads one `u32` column index
+/// per path and writes one per output entry: `4·(paths + nnz_out)` bytes.
+fn spgemm_model(a: &CsrMatrix, b: &CsrMatrix, nnz_out: usize) -> (f64, f64) {
+    let paths: usize =
+        (0..a.n_rows()).flat_map(|r| a.row_cols(r)).map(|&k| b.row_cols(k as usize).len()).sum();
+    (paths as f64, (4 * (paths + nnz_out)) as f64)
+}
+
 fn json_escape_free(s: &str) -> &str {
     debug_assert!(!s.contains('"') && !s.contains('\\'), "labels stay escape-free");
     s
@@ -209,6 +269,8 @@ fn main() {
         if smoke { &[(1200, 128, 64)] } else { &[(1200, 128, 64), (4096, 256, 128)] };
     let spmm_shapes: &[(usize, usize)] =
         if smoke { &[(1200, 32)] } else { &[(1200, 64), (4096, 64), (16384, 64)] };
+    // Node counts of the sparse `bool_matmul` rows.
+    let dsbm_nodes: &[usize] = if smoke { &[500] } else { &[500, 2000, 8000] };
 
     let dense: Vec<_> = dense_shapes
         .iter()
@@ -224,15 +286,19 @@ fn main() {
         .iter()
         .map(|&(n, x_cols)| (n, x_cols, skewed_operator(n, 7), seeded(n, x_cols, 8)))
         .collect();
+    let mut two_hop: Vec<(&'static str, CsrMatrix)> =
+        dsbm_nodes.iter().map(|&n| ("dsbm", dsbm_adjacency(n))).collect();
+    two_hop
+        .push(("squirrel", replica("squirrel", ReplicaScale::full(), 1).graph.adjacency().clone()));
 
     let mut cases: Vec<Case<'_>> = Vec::new();
     for (n, f, h, a, b, bt, g) in &dense {
         let (n, f, h) = (*n, *f, *h);
         let (flops, bytes) = gemm_model(n, f, h);
         let runs: [(&'static str, Run<'_>); 3] = [
-            ("matmul", Box::new(move || a.matmul(b))),
-            ("matmul_transb", Box::new(move || a.matmul_transb(bt))),
-            ("matmul_transa", Box::new(move || a.matmul_transa(g))),
+            ("matmul", Box::new(move || a.matmul(b).into())),
+            ("matmul_transb", Box::new(move || a.matmul_transb(bt).into())),
+            ("matmul_transa", Box::new(move || a.matmul_transa(g).into())),
         ];
         for (kernel, run) in runs {
             cases.push(Case { kernel, shape: format!("{n}x{f}x{h}"), flops, bytes, run });
@@ -244,7 +310,7 @@ fn main() {
             shape: format!("{n}x{f}"),
             flops: t_flops,
             bytes: t_bytes,
-            run: Box::new(move || a.transpose()),
+            run: Box::new(move || a.transpose().into()),
         });
 
         let (sm_flops, sm_bytes) = stream_model(n * f, 9);
@@ -268,7 +334,7 @@ fn main() {
                         *v /= sum;
                     }
                 });
-                m
+                m.into()
             }),
         });
     }
@@ -276,8 +342,8 @@ fn main() {
         let (flops, bytes) = gemm_model(*n, *f, *h);
         let shape = format!("{n}x{f}x{h} bow");
         let runs: [(&'static str, Run<'_>); 2] = [
-            ("matmul", Box::new(move || x.matmul(w))),
-            ("matmul_transa", Box::new(move || x.matmul_transa(g))),
+            ("matmul", Box::new(move || x.matmul(w).into())),
+            ("matmul_transa", Box::new(move || x.matmul_transa(g).into())),
         ];
         for (kernel, run) in runs {
             cases.push(Case { kernel, shape: shape.clone(), flops, bytes, run });
@@ -294,8 +360,25 @@ fn main() {
             run: Box::new(move || {
                 let mut out = vec![0.0f32; n * x_cols];
                 op.spmm(x.as_slice(), x_cols, &mut out);
-                DenseMatrix::from_vec(n, x_cols, out)
+                DenseMatrix::from_vec(n, x_cols, out).into()
             }),
+        });
+    }
+    for (graph, a) in &two_hop {
+        let product = |a: &CsrMatrix| {
+            a.bool_matmul(a).unwrap_or_else(|e| {
+                eprintln!("error: bool_matmul of a square adjacency failed: {e:?}");
+                std::process::exit(1)
+            })
+        };
+        let (flops, bytes) = spgemm_model(a, a, product(a).nnz());
+        let n = a.n_rows();
+        cases.push(Case {
+            kernel: "bool_matmul",
+            shape: format!("{n}x{n} nnz={} {graph}", a.nnz()),
+            flops,
+            bytes,
+            run: Box::new(move || Output::Sparse(product(a))),
         });
     }
 
@@ -319,7 +402,7 @@ fn main() {
             parallel_ms: parallel[i],
             flops: c.flops,
             bytes: c.bytes,
-            bit_identical: bits_equal(serial_out[i].as_slice(), parallel_out[i].as_slice()),
+            bit_identical: serial_out[i].same_bits(&parallel_out[i]),
         })
         .collect();
 

@@ -45,10 +45,15 @@
 //!
 //! AMUD pays for the four 2-hop products (a boolean SpGEMM and a diagonal
 //! strip each), one `O(nnz)` label pass per operator, and the feature
-//! pass. The products are built once per graph: [`amud_score_profiles`]
-//! takes them from the precompute RAW store when it holds the adjacency's
-//! order-2 family and otherwise materialises that family with shared
-//! prefixes, and `prepare_topology` hands it on to ADPA on Paradigm II.
+//! pass. Each SpGEMM (`CsrMatrix::bool_matmul`) costs one word OR per
+//! middle node and 64-column run of its row, plus a walk over each output
+//! row's touched words, and sorts nothing; on heterophilous wiki graphs,
+//! where a 2-hop product holds most ordered pairs, that is close to the
+//! cost of writing the output. The products are built once per graph:
+//! [`amud_score_profiles`] takes them from the precompute RAW store when
+//! it holds the adjacency's order-2 family and otherwise materialises
+//! that family with shared prefixes, and `prepare_topology` hands it on
+//! to ADPA on Paradigm II.
 //! The feature pass costs one f64 dot of length `f` per distinct ordered
 //! neighbour pair across the four operators, which share most of their
 //! pairs, plus one per sampled pair, drawn once for all operators.

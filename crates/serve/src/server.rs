@@ -588,9 +588,10 @@ fn run_batch(engine: &Engine, batch: Vec<Request>, shared: &Arc<Shared>) {
 // Snapshot watcher
 // ---------------------------------------------------------------------
 
-/// How old a snapshot's mtime must be before an unchanged stamp lets the
-/// watcher skip reading it. A younger file can be rewritten within one
-/// coarse timestamp tick and keep its stamp, so it is read every tick.
+/// How old a snapshot's mtime must be before its stamp can be trusted. A
+/// younger file can be rewritten within one coarse timestamp tick and keep
+/// its stamp, so a file read while young is read once more after it
+/// settles, even if its stamp has not changed.
 const SETTLED_AFTER: Duration = Duration::from_secs(2);
 
 /// `(len, mtime, inode)` of a file: what changes when it is replaced or
@@ -604,7 +605,8 @@ fn stamp(path: &Path) -> Option<Stamp> {
 
 fn watcher_loop(shared: &Arc<Shared>, initial_fp: u64) {
     let mut last_fp = initial_fp;
-    let mut last_read: Option<Stamp> = None;
+    // The stamp of the last read, and whether the file had settled then.
+    let mut last_read: Option<(Stamp, bool)> = None;
     loop {
         std::thread::sleep(Duration::from_millis(shared.cfg.watch_interval_ms.max(1)));
         if shared.lock().shutdown {
@@ -612,11 +614,15 @@ fn watcher_loop(shared: &Arc<Shared>, initial_fp: u64) {
         }
         // The stamp is taken before the read, so a write racing the read
         // leaves a stale stamp behind and is read again next tick.
-        let now = stamp(&shared.cfg.snapshot_path);
-        if let Some(st @ (_, mtime, _)) = now {
+        let now = stamp(&shared.cfg.snapshot_path).map(|st @ (_, mtime, _)| {
             let settled =
                 SystemTime::now().duration_since(mtime).is_ok_and(|age| age >= SETTLED_AFTER);
-            if settled && last_read == Some(st) {
+            (st, settled)
+        });
+        if let (Some((st, settled)), Some((seen, seen_settled))) = (now, last_read) {
+            // An unchanged stamp is read again only once: after the file
+            // settles, when the last read was taken while it was young.
+            if st == seen && (seen_settled || !settled) {
                 continue;
             }
         }
@@ -824,6 +830,47 @@ mod tests {
                 break;
             }
             assert!(Instant::now() < deadline, "in-place rewrite never swapped in: {reply}");
+            assert!(roundtrip(&mut r, &mut w, "PREDICT 2").starts_with("OK "));
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.stop();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn in_place_rewrite_of_a_young_file_with_its_stamp_restored_swaps() {
+        let path = tmp_snap("young", 8);
+        let server = Server::start(ServerConfig {
+            snapshot_path: path.clone(),
+            watch_interval_ms: 10,
+            ..Default::default()
+        })
+        .unwrap();
+        // The watcher reads the file while it is young.
+        std::thread::sleep(Duration::from_millis(100));
+
+        // Same inode, same length, other weights, and the old mtime put
+        // back: the stamp cannot tell, so only the settled re-read can.
+        let before = std::fs::metadata(&path).unwrap();
+        let bytes = crate::snapshot::encode_snapshot(&synthetic_snapshot(55, 12, 4, 2, 2, 8, 0));
+        std::fs::write(&path, &bytes).unwrap();
+        let f = std::fs::File::options().write(true).open(&path).unwrap();
+        f.set_modified(before.modified().unwrap()).unwrap();
+        let after = std::fs::metadata(&path).unwrap();
+        assert_eq!(
+            (after.ino(), after.len(), after.modified().unwrap()),
+            (before.ino(), before.len(), before.modified().unwrap())
+        );
+
+        let (mut r, mut w) = connect(server.port());
+        let deadline = Instant::now() + SETTLED_AFTER + Duration::from_secs(1);
+        loop {
+            let reply = roundtrip(&mut r, &mut w, "STATS");
+            if reply.contains("\"tag\":55") {
+                assert!(reply.contains("\"swaps\":1"), "{reply}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "young in-place rewrite never swapped in: {reply}");
             assert!(roundtrip(&mut r, &mut w, "PREDICT 2").starts_with("OK "));
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -8,6 +8,7 @@ use amud_repro::graph::patterns::DirectedPattern;
 use amud_repro::graph::{CsrMatrix, DiGraph};
 use amud_repro::nn::DenseMatrix;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random edge list over `n` nodes.
 fn edges(n: usize, max_m: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
@@ -25,6 +26,11 @@ fn weighted(n: usize, max_m: usize) -> impl Strategy<Value = Vec<(usize, usize, 
 fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u32)> {
     m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
 }
+
+/// Output widths of the `bool_matmul` property: below, at and just past
+/// one 64-column bitmap word, several words with a partial last one, and
+/// past 64 words, where the bitmap of touched words needs a second word.
+const BITMAP_WIDTHS: [usize; 7] = [1, 63, 64, 65, 130, 257, 4225];
 
 /// The `from_coo` rebuild the single-pass row filters replaced.
 fn rebuilt(m: &CsrMatrix, triplets: Vec<(usize, usize, f32)>) -> CsrMatrix {
@@ -120,6 +126,41 @@ proptest! {
                 let reachable = (0..8).any(|k| da[r * 8 + k] != 0.0 && db[k * 8 + c] != 0.0);
                 prop_assert_eq!(prod.get(r, c) != 0.0, reachable, "entry ({}, {})", r, c);
             }
+        }
+    }
+
+    #[test]
+    fn bool_matmul_matches_a_set_reference_across_words(
+        width in 0usize..7,
+        n_rows in 1usize..12,
+        inner in 1usize..10,
+        a_list in edges(12, 40),
+        b_list in prop::collection::vec((0usize..10, 0usize..4225), 0..600),
+    ) {
+        let n_cols = BITMAP_WIDTHS[width];
+        let a_list: Vec<_> = a_list.into_iter().map(|(r, k)| (r % n_rows, k % inner)).collect();
+        let b_list: Vec<_> = b_list.into_iter().map(|(k, c)| (k % inner, c % n_cols)).collect();
+        let a = CsrMatrix::from_edges(n_rows, inner, a_list.clone()).unwrap();
+        let b = CsrMatrix::from_edges(inner, n_cols, b_list.clone()).unwrap();
+        let prod = a.bool_matmul(&b).unwrap();
+        let reach: BTreeSet<(usize, usize)> = a_list
+            .iter()
+            .flat_map(|&(r, k)| b_list.iter().filter(move |e| e.0 == k).map(move |e| (r, e.1)))
+            .collect();
+        let want: Vec<(usize, usize, u32)> =
+            reach.into_iter().map(|(r, c)| (r, c, 1.0f32.to_bits())).collect();
+        prop_assert_eq!((prod.n_rows(), prod.n_cols()), (n_rows, n_cols));
+        prop_assert_eq!(entry_bits(&prod), want, "{} x {} x {}", n_rows, inner, n_cols);
+    }
+
+    #[test]
+    fn materialize_all_matches_materialize_up_to_order_three(list in edges(150, 900)) {
+        let g = DiGraph::from_edges(150, list).unwrap();
+        let patterns = DirectedPattern::enumerate_up_to(3);
+        let all = DirectedPattern::materialize_all(g.adjacency(), &patterns).unwrap();
+        for (p, shared) in patterns.iter().zip(&all) {
+            let alone = p.materialize(g.adjacency()).unwrap();
+            prop_assert_eq!(entry_bits(shared), entry_bits(&alone), "{}", p);
         }
     }
 
