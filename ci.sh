@@ -8,7 +8,7 @@ cargo fmt --check
 
 # Generic code rules are rustc/clippy lints: the [workspace.lints] table
 # in Cargo.toml plus disallowed-methods in clippy.toml, over every target
-# (tests, examples and benches included).
+# (tests and examples included).
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -156,13 +156,19 @@ cargo run --release -q -p amud-bench --bin bench-serve -- --smoke --out /tmp/BEN
 
 # Kernel benchmark smoke run: times serial vs parallel on CI-sized shapes,
 # fails if any kernel's outputs diverge bitwise between the budgets, and
-# gates serial timings against the committed baseline (>10% + 0.25 ms per
-# kernel/shape is a regression).
+# gates serial timings against the committed baseline (limit: +10% +0.25 ms
+# per kernel/shape). A row over its limit is re-timed, alone with the other
+# over-limit rows, for another 15 interleaved serial rounds; it is a
+# regression only if the minimum over both series is still over the limit,
+# so one slow stretch of a shared host cannot fail the step.
 echo "==> bench-kernels --smoke --check"
 cargo run --release -q -p amud-bench --bin bench-kernels -- --smoke --out /tmp/BENCH_kernels_smoke.json --check BENCH_kernels.json
 
 # Precompute-cache smoke run: cold vs warm sweeps must produce bit-identical
-# tables and the warm pass must clear the 5x spmm-reduction gate.
+# tables and the warm pass must clear the 5x spmm-reduction gate. It also
+# times the Sec. IV-D scaling rows (propagation in k, K and f, one ADPA and
+# one NSTE epoch, ADPA construction) on shrunken shapes; those rows are
+# recorded, not gated.
 echo "==> bench-precompute --smoke"
 cargo run --release -q -p amud-bench --bin bench-precompute -- --smoke --out /tmp/BENCH_precompute_smoke.json
 
@@ -170,8 +176,8 @@ cargo run --release -q -p amud-bench --bin bench-precompute -- --smoke --out /tm
 # bitwise, int8 artifacts must clear the 3.0x byte-reduction gate on
 # disk AND resident, engine logits must be identical across
 # thread budgets, the registry accuracy drop stays <= 0.5 pt, and serial
-# matmul timings are gated against the committed baseline (>10% + 0.25 ms
-# per kernel/shape is a regression).
+# matmul timings are gated against the committed baseline with the
+# bench-kernels rule (+10% +0.25 ms, over-limit rows re-timed once).
 echo "==> bench-quant --smoke --check"
 cargo run --release -q -p amud-bench --bin bench-quant -- --smoke --out /tmp/BENCH_quant_smoke.json --check BENCH_quant.json
 

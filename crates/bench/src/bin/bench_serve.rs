@@ -19,7 +19,8 @@
 //! cargo run --release -p amud-bench --bin bench-serve -- --out s.json
 //! ```
 
-use amud_bench::{bench_args, BenchArgs};
+use amud_bench::report::Object;
+use amud_bench::{bench_args, fail, BenchArgs};
 use amud_serve::{synthetic_snapshot, write_snapshot, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -45,11 +46,6 @@ impl Client {
         self.reader.read_line(&mut line)?;
         Ok(line.trim().to_string())
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(1)
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -156,18 +152,19 @@ fn main() {
     println!("counters: served={served}");
     println!("artifact: snapshot_bytes={snapshot_bytes} bytes_per_query={bytes_per_query}");
 
-    // Machine-readable JSON (hand-rendered: std-only workspace).
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"n_nodes\": {n_nodes},\n  \"n_requests\": {n_requests},\n  \
-         \"zipf_s\": 1.0,\n  \"steady_wall_s\": {steady_wall:.3},\n  \"qps\": {qps:.1},\n  \
-         \"p50_us\": {p50_us},\n  \"p99_us\": {p99_us},\n  \
-         \"snapshot_bytes\": {snapshot_bytes},\n  \"bytes_per_query\": {bytes_per_query},\n  \
-         \"served\": {served}\n}}\n"
-    );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
+    Object::new()
+        .field("smoke", smoke)
+        .field("n_nodes", n_nodes)
+        .field("n_requests", n_requests)
+        .field("zipf_s", "1.0")
+        .field("steady_wall_s", format!("{steady_wall:.3}"))
+        .field("qps", format!("{qps:.1}"))
+        .field("p50_us", p50_us)
+        .field("p99_us", p99_us)
+        .field("snapshot_bytes", snapshot_bytes)
+        .field("bytes_per_query", bytes_per_query)
+        .field("served", served)
+        .write(&out_path);
 
     // Gate: the server counted every request the load sent.
     if served != n_requests as u64 {

@@ -21,9 +21,12 @@
 //! | `bench-serve` | serving latency and QPS → `BENCH_serve.json` |
 //! | `bench-quant` | int8 artifact bytes, decode-then-matmul, accuracy → `BENCH_quant.json` |
 //!
-//! The four `bench-*` binaries share their flag parsing ([`bench_args`]);
-//! `bench-kernels` and `bench-quant` share the `--check` regression gate
-//! ([`check_serial_ms`]).
+//! The four `bench-*` binaries share their flag parsing ([`bench_args`]),
+//! their report layout ([`report`]: every `BENCH_*.json` is rendered and
+//! read back there), and their timing and exit helpers ([`time_ms`],
+//! [`min_of_rounds`], [`fail`]). `bench-kernels` and `bench-quant` share
+//! the `--check` regression gate ([`check_serial_ms`]). The Sec. IV-D
+//! complexity rows are the `scaling` section of `BENCH_precompute.json`.
 //!
 //! Shared environment knobs (all optional):
 //!
@@ -39,6 +42,8 @@ use amud_core::{Adpa, AdpaConfig};
 use amud_datasets::{replica, Dataset, ReplicaScale};
 use amud_models::registry::{build_model, is_directed_model};
 use amud_train::{repeat_runs, GraphData, Summary, TrainConfig};
+
+pub mod report;
 
 /// Replica scale from `AMUD_SCALE`.
 pub fn env_scale() -> ReplicaScale {
@@ -344,75 +349,82 @@ fn parse_bench_args(
     Ok(parsed)
 }
 
-/// Extracts the string value of `"key": "…"` from a single JSON-line `row`.
-fn json_str_field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = row.find(&tag)? + tag.len();
-    let end = row[start..].find('"')?;
-    Some(&row[start..start + end])
+/// Prints `error: {msg}` and exits 1: a bench binary has no recovery
+/// path.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
 }
 
-/// Extracts the numeric value of `"key": <num>` from a single JSON-line
-/// `row`.
-fn json_num_field(row: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = row.find(&tag)? + tag.len();
-    let num: String = row[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
+/// Wall-clock of one call to `f`, in milliseconds, and its result. The
+/// result is moved out, so the caller drops it after the clock is read.
+pub fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    // TAINT-PURE(t): the wall-clock is only reported; it is never fed
+    // back into a computed value.
+    let t = std::time::Instant::now();
+    let out = f();
+    (t.elapsed().as_secs_f64() * 1e3, out)
 }
 
-/// Parses a committed `BENCH_*.json` into `(kernel, shape) → serial_ms`.
-/// The reports are hand-rendered with one result object per line, so a
-/// line scan is exact.
-fn parse_baseline(text: &str) -> Vec<((String, String), f64)> {
-    text.lines()
-        .filter_map(|row| {
-            let kernel = json_str_field(row, "kernel")?;
-            let shape = json_str_field(row, "shape")?;
-            let serial = json_num_field(row, "serial_ms")?;
-            Some(((kernel.to_string(), shape.to_string()), serial))
-        })
-        .collect()
+/// Minimum of `time(i)` for every `i < n` over `reps` interleaved
+/// rounds. Each round times every case once, so a slow stretch of a
+/// shared host slows all cases alike instead of one case's whole series.
+pub fn min_of_rounds(n: usize, reps: usize, mut time: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; n];
+    for _ in 0..reps {
+        for (i, best) in best.iter_mut().enumerate() {
+            *best = best.min(time(i));
+        }
+    }
+    best
+}
+
+/// Equal lengths and equal bits, element by element.
+pub fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A `rows × cols` matrix of uniform draws from `[-1, 1)`.
+pub fn seeded(rows: usize, cols: usize, seed: u64) -> amud_nn::DenseMatrix {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    amud_nn::DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
 }
 
 /// The `--check` regression gate: every `(kernel, shape, serial_ms)` row
 /// also present in the baseline at `path` may be at most 10% plus 0.25 ms
 /// slower (the floor absorbs host jitter on sub-millisecond kernels,
 /// while a real 2× regression on any non-trivial shape still trips).
+/// Rows over the limit are timed once more: `retime(ix)` returns the
+/// minimum `serial_ms` of rows `ix` over another series of interleaved
+/// rounds, and a row fails only if the minimum over both series is still
+/// over its limit, so one slow stretch of a shared host cannot fail it.
 /// Rows absent from the baseline (smoke-only shapes, new kernels) are
 /// skipped. Exits 1 on a regression, and 2 when the baseline is
 /// unreadable, has no rows, or shares no row with this run.
-pub fn check_serial_ms(path: &str, rows: &[(&str, &str, f64)]) {
+pub fn check_serial_ms(
+    path: &str,
+    rows: &[(&str, &str, f64)],
+    retime: impl FnOnce(&[usize]) -> Vec<f64>,
+) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read baseline {path}: {e}");
         std::process::exit(2)
     });
-    let baseline = parse_baseline(&text);
+    let baseline = report::parse_baseline(&text);
     if baseline.is_empty() {
         eprintln!("error: baseline {path} has no parseable result rows");
         std::process::exit(2);
     }
-    let mut checked = 0usize;
-    let mut regressed = 0usize;
-    for &(kernel, shape, serial_ms) in rows {
-        let Some((_, base_ms)) = baseline.iter().find(|((k, s), _)| k == kernel && s == shape)
-        else {
-            continue;
-        };
-        checked += 1;
-        let limit = base_ms * 1.10 + 0.25;
-        if serial_ms > limit {
-            regressed += 1;
-            eprintln!(
-                "regression: {kernel} {shape} serial {serial_ms:.3}ms exceeds {limit:.3}ms (baseline {base_ms:.3}ms +10% +0.25ms)"
-            );
-        }
+    let (checked, regressions) = gate(&baseline, rows, retime);
+    for r in &regressions {
+        eprintln!("regression: {r}");
     }
-    println!("check vs {path}: {checked} kernel/shape pair(s) compared, {regressed} regressed");
-    if regressed > 0 {
+    println!(
+        "check vs {path}: {checked} kernel/shape pair(s) compared, {} regressed",
+        regressions.len()
+    );
+    if !regressions.is_empty() {
         std::process::exit(1);
     }
     if checked == 0 {
@@ -421,8 +433,43 @@ pub fn check_serial_ms(path: &str, rows: &[(&str, &str, f64)]) {
     }
 }
 
+/// [`check_serial_ms`]'s decision: how many rows met a baseline row, and
+/// one message per row still over its limit after the re-time.
+fn gate(
+    baseline: &[((String, String), f64)],
+    rows: &[(&str, &str, f64)],
+    retime: impl FnOnce(&[usize]) -> Vec<f64>,
+) -> (usize, Vec<String>) {
+    let limit = |(kernel, shape, _): (&str, &str, f64)| {
+        let (_, base_ms) = baseline.iter().find(|((k, s), _)| k == kernel && s == shape)?;
+        Some((*base_ms, base_ms * 1.10 + 0.25))
+    };
+    let checked = rows.iter().filter_map(|&r| limit(r)).count();
+    let over: Vec<usize> =
+        (0..rows.len()).filter(|&i| limit(rows[i]).is_some_and(|(_, l)| rows[i].2 > l)).collect();
+    if over.is_empty() {
+        return (checked, Vec::new());
+    }
+    println!("re-timing {} row(s) over the limit", over.len());
+    let regressions = over
+        .iter()
+        .zip(retime(&over))
+        .filter_map(|(&i, second)| {
+            let (kernel, shape, first) = rows[i];
+            let (base_ms, limit) = limit(rows[i])?;
+            println!("re-timed: {kernel} {shape} serial {first:.3}ms, then {second:.3}ms");
+            let best = first.min(second);
+            (best > limit).then(|| format!(
+                "{kernel} {shape} serial {best:.3}ms exceeds {limit:.3}ms (baseline {base_ms:.3}ms +10% +0.25ms)"
+            ))
+        })
+        .collect();
+    (checked, regressions)
+}
+
 #[cfg(test)]
 mod tests {
+    use super::report::Object;
     use super::*;
 
     fn parse(args: &[&str], with_check: bool) -> Result<BenchArgs, String> {
@@ -460,6 +507,83 @@ mod tests {
     #[test]
     fn baseline_rows_parse_from_report_lines() {
         let text = "{\n  \"kernels\": [\n    {\"kernel\": \"matmul\", \"shape\": \"4x4\", \"serial_ms\": 1.25, \"gbs\": 2}\n  ]\n}\n";
-        assert_eq!(parse_baseline(text), vec![(("matmul".into(), "4x4".into()), 1.25)]);
+        assert_eq!(report::parse_baseline(text), vec![(("matmul".into(), "4x4".into()), 1.25)]);
+    }
+
+    fn kernel_row(kernel: &str, shape: &str, serial_ms: f64) -> Object {
+        Object::new().str("kernel", kernel).str("shape", shape).field("serial_ms", serial_ms)
+    }
+
+    #[test]
+    fn kernels_report_renders_the_committed_layout() {
+        // Rows of a committed BENCH_kernels.json, in its layout.
+        let rows = [("transpose", "256x64", 0.0190, 0.0154, 1.2291, 0.0, 6.9025)];
+        let report = Object::new()
+            .field("host_threads", 2)
+            .field("amud_threads", 2)
+            .field("reps", 15)
+            .field("smoke", false)
+            .rows(
+                "results",
+                rows.iter().map(|&(kernel, shape, serial, parallel, speedup, gflops, gbs)| {
+                    Object::new()
+                        .str("kernel", kernel)
+                        .str("shape", shape)
+                        .field("serial_ms", format!("{serial:.4}"))
+                        .field("parallel_ms", format!("{parallel:.4}"))
+                        .field("speedup", format!("{speedup:.4}"))
+                        .field("gflops", format!("{gflops:.4}"))
+                        .field("gbs", format!("{gbs:.4}"))
+                        .field("bit_identical", true)
+                }),
+            );
+        let want = r#"{
+  "host_threads": 2,
+  "amud_threads": 2,
+  "reps": 15,
+  "smoke": false,
+  "results": [
+    {"kernel": "transpose", "shape": "256x64", "serial_ms": 0.0190, "parallel_ms": 0.0154, "speedup": 1.2291, "gflops": 0.0000, "gbs": 6.9025, "bit_identical": true}
+  ]
+}
+"#;
+        assert_eq!(report.render(), want);
+    }
+
+    #[test]
+    fn rendered_rows_round_trip_through_parse_baseline() {
+        let rows = [("matmul", "4096x256x128", 6.2158), ("bool_matmul", "2223x2223 sq", 10.2)];
+        let text =
+            Object::new().rows("r", rows.iter().map(|&(k, s, ms)| kernel_row(k, s, ms))).render();
+        let want: Vec<_> =
+            rows.iter().map(|&(k, s, ms)| ((k.to_string(), s.to_string()), ms)).collect();
+        assert_eq!(report::parse_baseline(&text), want);
+    }
+
+    #[test]
+    fn labels_with_quotes_and_backslashes_are_escaped() {
+        let label = "a \"b\" \\c\n";
+        let text = Object::new().rows("r", [kernel_row(label, "s", 1.5)]).render();
+        assert!(text.contains(r#"{"kernel": "a \"b\" \\c\u000a", "shape": "s""#), "{text}");
+        assert_eq!(report::parse_baseline(&text), vec![((label.to_string(), "s".into()), 1.5)]);
+    }
+
+    #[test]
+    fn the_gate_retimes_only_over_limit_rows_and_keeps_the_faster_series() {
+        // Limits: a 1.35 ms, b 11.25 ms, c 1.35 ms; `d` has no baseline.
+        let baseline: Vec<_> = [("a", 1.0), ("b", 10.0), ("c", 1.0)]
+            .map(|(k, ms)| ((k.to_string(), "s".to_string()), ms))
+            .to_vec();
+        let rows = [("a", "s", 1.2), ("b", "s", 12.0), ("c", "s", 2.0), ("d", "s", 9.0)];
+        let mut asked = Vec::new();
+        let (checked, regressions) = gate(&baseline, &rows, |ix| {
+            asked = ix.to_vec();
+            vec![11.0, 1.9]
+        });
+        assert_eq!((asked, checked), (vec![1, 2], 3), "only over-limit rows are re-timed");
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].starts_with("c s serial 1.900ms"), "{regressions:?}");
+        let (_, clean) = gate(&baseline, &rows[..1], |_| unreachable!("nothing is over"));
+        assert!(clean.is_empty());
     }
 }
