@@ -31,6 +31,10 @@
 //! `squirrel` row is the full-scale squirrel replica (2,223 nodes, 65.7k
 //! edges), whose product holds about two thirds of all ordered pairs.
 //! `bool_matmul` is serial, so its parallel column repeats the serial run.
+//! The `squirrel` `spmm` row propagates 64 features through the
+//! row-normalised `A·A` operator of that replica (diagonal removed, about
+//! 3.1 M entries), the shape of most of `sweep-squirrel`'s Eq. 9
+//! products; it runs in both smoke and full mode.
 //!
 //! Speedup expectations are hardware-gated: when the parallel budget
 //! collapses to 1 thread the "parallel" run *is* the serial run (same
@@ -250,14 +254,22 @@ fn main() {
         .iter()
         .map(|&(n, f, h)| (n, f, h, bag_of_words(n, f, 9), seeded(f, h, 2), seeded(n, h, 4)))
         .collect();
-    let sparse: Vec<_> = spmm_shapes
+    let mut sparse: Vec<_> = spmm_shapes
         .iter()
-        .map(|&(n, x_cols)| (n, x_cols, skewed_operator(n, 7), seeded(n, x_cols, 8)))
+        .map(|&(n, x_cols)| (skewed_operator(n, 7), seeded(n, x_cols, 8), ""))
         .collect();
     let mut two_hop: Vec<(&'static str, CsrMatrix)> =
         dsbm_nodes.iter().map(|&n| ("dsbm", dsbm_adjacency(n))).collect();
     two_hop
         .push(("squirrel", replica("squirrel", ReplicaScale::full(), 1).graph.adjacency().clone()));
+    let squirrel = &two_hop[two_hop.len() - 1].1;
+    let squirrel_op = squirrel
+        .bool_matmul(squirrel)
+        .unwrap_or_else(|e| fail(&format!("bool_matmul of a square adjacency failed: {e:?}")))
+        .without_diagonal()
+        .normalized(0.0);
+    let x = seeded(squirrel_op.n_rows(), 64, 8);
+    sparse.push((squirrel_op, x, " squirrel 2-hop"));
 
     let mut cases: Vec<Case<'_>> = Vec::new();
     for (n, f, h, a, b, bt, g) in &dense {
@@ -317,12 +329,12 @@ fn main() {
             cases.push(Case { kernel, shape: shape.clone(), flops, bytes, run });
         }
     }
-    for (n, x_cols, op, x) in &sparse {
-        let (n, x_cols) = (*n, *x_cols);
+    for (op, x, graph) in &sparse {
+        let (n, x_cols) = (x.rows(), x.cols());
         let (sp_flops, sp_bytes) = spmm_model(n, x_cols, op.nnz());
         cases.push(Case {
             kernel: "spmm",
-            shape: format!("{n}x{n} nnz={} X={n}x{x_cols}", op.nnz()),
+            shape: format!("{n}x{n} nnz={} X={n}x{x_cols}{graph}", op.nnz()),
             flops: sp_flops,
             bytes: sp_bytes,
             run: Box::new(move || {

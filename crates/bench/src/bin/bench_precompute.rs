@@ -23,10 +23,12 @@
 //! minimum over 15 interleaved rounds: Eq. 9 over the 1-order (2
 //! operators) and 2-order (6 operators) DP families of a DSBM digraph at
 //! K ∈ {1, 3} and, for the 2-order family at K = 2, at f ∈ {16, 64, 256}
-//! features (each about linear in k, K and f); one full-graph training
-//! epoch of ADPA, whose propagation is pre-processed, and of NSTE, which
-//! aggregates sparsely every step; and one uncached `Adpa::new`, the
-//! one-time cost ADPA's epochs amortise.
+//! features (each about linear in k, K and f); one training epoch of
+//! ADPA, whose propagation is pre-processed, and of NSTE, which
+//! aggregates sparsely every step, each a one-epoch `train()` call on a
+//! model built once (the row-local forward, backward and Adam step over
+//! the train rows, then the eval forward over val ∪ test); and one
+//! uncached `Adpa::new`, the one-time cost ADPA's epochs amortise.
 //!
 //! `--smoke` shrinks the DSBM graph and the replica. Results go to
 //! `BENCH_precompute.json`. Exit code 1 if any pass diverges bitwise or
@@ -47,11 +49,10 @@ use amud_core::{precompute, Adpa, AdpaConfig, PropagatedFeatures};
 use amud_datasets::{replica, DsbmConfig, InterClassStructure, ReplicaScale};
 use amud_graph::{spmm_calls, PatternSet};
 use amud_models::nste::Nste;
-use amud_nn::{Adam, DenseMatrix, Tape};
-use amud_train::{repeat_runs, GraphData, Model, TrainConfig};
+use amud_nn::DenseMatrix;
+use amud_train::{repeat_runs, train, GraphData, Model, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::rc::Rc;
 
 /// One grid point's outcome: the summary over all seeds.
 struct Cell {
@@ -141,19 +142,13 @@ fn tables_identical(a: &Pass, b: &Pass) -> bool {
 /// One timed call of a scaling case.
 type Run<'a> = Box<dyn FnMut() + 'a>;
 
-/// A timed call that trains `model` for one more full-graph epoch:
-/// forward, masked cross-entropy, backward, Adam step.
+/// A timed call that trains `model` for one more epoch through `train()`.
 fn epoch_run<'a>(mut model: impl Model + 'a, data: &'a GraphData) -> Run<'a> {
-    let mut adam = Adam::new(0.01);
-    let mut rng = StdRng::seed_from_u64(0);
+    let cfg = TrainConfig { epochs: 1, patience: 0, ..TrainConfig::default() };
     Box::new(move || {
-        let mut tape = Tape::new();
-        let logits = model.forward(&mut tape, data, true, &mut rng);
-        let (labels, train) = (Rc::clone(&data.labels), Rc::clone(&data.train));
-        let loss = tape.masked_cross_entropy(logits, labels, train);
-        tape.backward(loss);
-        tape.apply_grads(model.bank_mut());
-        adam.step(model.bank_mut());
+        if let Err(e) = train(&mut model, data, cfg, 0) {
+            fail(&format!("one training epoch failed: {e}"));
+        }
     })
 }
 

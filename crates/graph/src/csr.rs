@@ -231,60 +231,38 @@ impl CsrMatrix {
     /// Sparse matrix × dense matrix: `out = self · X`, where `X` is
     /// row-major `n_cols × x_cols` and `out` is row-major `n_rows × x_cols`.
     ///
-    /// This is the hot loop of feature propagation; it streams each sparse
-    /// row once and accumulates whole dense rows through the lane axpy
-    /// microkernels (`amud_par::lanes`): four nonzeros at a time feed one
-    /// [`lanes::lane_axpy4`], so the output row stays register-resident
-    /// across four gathered rows of `X`. Per output element the terms
-    /// still arrive in ascending nonzero order, one fused `+= v·x` each —
-    /// bit-identical to the legacy scalar loop, and therefore to serial at
-    /// any `AMUD_THREADS`. Output rows are split into per-thread blocks
-    /// with *nnz-balanced* boundaries (`row_ptr` is exactly the
-    /// cumulative-work prefix the partitioner wants), so one hub row
-    /// cannot serialise the whole product; blocks below a per-part work
-    /// floor degenerate to the serial path (see [`Self::spmm_parts`]).
+    /// This is the hot loop of feature propagation. Each block of output
+    /// rows runs [`lanes::spmm`] in the host's [`lanes::Build`]: every
+    /// window of 64 output columns stays in registers across all of a
+    /// sparse row's stored terms and is written once. Per output element
+    /// the terms arrive in ascending column order from `+0.0`, one
+    /// `+= v·x` each, with none skipped — bit-identical to the scalar
+    /// loop, and therefore to serial at any `AMUD_THREADS`. Non-finite
+    /// weights or entries of `X` propagate term by term. Output rows are
+    /// split into per-thread blocks with *nnz-balanced* boundaries
+    /// (`row_ptr` is exactly the cumulative-work prefix the partitioner
+    /// wants), so one hub row cannot serialise the whole product; blocks
+    /// below a per-part work floor degenerate to the serial path (see
+    /// [`Self::spmm_parts`]).
     ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn spmm(&self, x: &[f32], x_cols: usize, out: &mut [f32]) {
         assert_eq!(x.len(), self.n_cols * x_cols, "spmm: X shape mismatch");
         assert_eq!(out.len(), self.n_rows * x_cols, "spmm: out shape mismatch");
-        debug_assert!(
-            self.values.iter().all(|v| v.is_finite()),
-            "spmm: non-finite edge weight in operator"
-        );
-        debug_assert!(x.iter().all(|v| v.is_finite()), "spmm: non-finite input entry");
         SPMM_CALLS.fetch_add(1, Ordering::Relaxed);
         if x_cols == 0 {
             return;
         }
-        // Stored column indices are < n_cols by the CSR
-        // invariant and x.len() == n_cols · x_cols is asserted above.
-        let x_row = |c: u32| &x[c as usize * x_cols..(c as usize + 1) * x_cols];
+        let build = lanes::Build::host();
         let parts = self.spmm_parts(x_cols);
         amud_par::par_row_blocks_mut(out, x_cols, &parts, |_, rows, block| {
-            block.fill(0.0);
-            for (out_row, r) in block.chunks_exact_mut(x_cols).zip(rows) {
-                let cols = self.row_cols(r);
-                let vals = self.row_values(r);
-                let main = cols.len() - cols.len() % 4;
-                // row_values(r) parallels row_cols(r) — the
-                // same row_ptr window — so main ≤ vals.len().
-                for tb in 0..main / 4 {
-                    let t = tb * 4;
-                    lanes::lane_axpy4(
-                        out_row,
-                        [vals[t], vals[t + 1], vals[t + 2], vals[t + 3]],
-                        x_row(cols[t]),
-                        x_row(cols[t + 1]),
-                        x_row(cols[t + 2]),
-                        x_row(cols[t + 3]),
-                    );
-                }
-                for (&c, &v) in cols.iter().zip(vals).skip(main) {
-                    lanes::lane_axpy(out_row, v, x_row(c));
-                }
-            }
+            let a = lanes::Csr {
+                row_ptr: &self.row_ptr[rows.start..=rows.end],
+                col_idx: &self.col_idx,
+                values: &self.values,
+            };
+            lanes::spmm(build, a, x, x_cols, block);
         });
     }
 

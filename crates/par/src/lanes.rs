@@ -17,13 +17,16 @@
 //!   scalar `o += w * x` per (element, weight) pair, in ascending weight
 //!   order — the same floating-point op sequence as the serial loops they
 //!   replace, so adopting them changes *nothing* bitwise.
-//! * **GEMM kernels** ([`matmul`], [`matmul_transa`], [`matmul_transb`])
-//!   keep a tile of output accumulators in registers across the whole k
-//!   loop. Each output element still sees exactly the operations of the
-//!   row kernels above, in the same order, so tiling changes no bit. Their
-//!   bodies are written once and compiled twice — for the baseline target
-//!   and under `#[target_feature(enable = "avx2")]` — and [`Build`] picks
-//!   the copy, once per process. No FMA is used anywhere: a fused
+//! * **Register-resident kernels** — the GEMMs ([`matmul`],
+//!   [`matmul_transa`], [`matmul_transb`]) and the sparse product
+//!   [`spmm`] — keep their output accumulators in registers across the
+//!   whole reduction: a GEMM tile across the k loop, an `spmm` window of
+//!   64 columns across all of a sparse row's stored terms. Each output
+//!   element still sees exactly the operations of the row kernels above,
+//!   in the same order, so keeping it in registers changes no bit. The
+//!   four bodies are written once and compiled twice — for the baseline
+//!   target and under `#[target_feature(enable = "avx2")]` — and [`Build`]
+//!   picks the copy, once per process. No FMA is used anywhere: a fused
 //!   multiply-add rounds once where `o += w * x` rounds twice.
 //!
 //! Lengths that are not a multiple of [`LANE_WIDTH`] take a deterministic
@@ -159,8 +162,8 @@ pub fn lane_dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [
     out
 }
 
-/// Which compiled copy of the tiled GEMM kernels ([`matmul`],
-/// [`matmul_transa`], [`matmul_transb`]) runs.
+/// Which compiled copy of the register-resident kernels ([`matmul`],
+/// [`matmul_transa`], [`matmul_transb`], [`spmm`]) runs.
 ///
 /// Each kernel body is written once and compiled twice: for the target's
 /// baseline features, and (on x86-64) inside
@@ -199,7 +202,7 @@ impl Build {
         *HOST.get_or_init(|| Build::avx2().unwrap_or(Build::GENERIC))
     }
 
-    fn run(self, job: Gemm<'_>, out: &mut [f32]) {
+    fn run(self, job: Job<'_>, out: &mut [f32]) {
         match self.0 {
             Isa::Generic => run_generic(job, out),
             #[cfg(target_arch = "x86_64")]
@@ -225,31 +228,37 @@ const TRANSA_KC: usize = 32;
 /// `b`, one lane-dot chain per output element.
 const TB_MR: usize = 2;
 
-/// One tiled GEMM call over a block of output rows.
-enum Gemm<'a> {
+/// Output columns of one [`spmm`] window: eight AVX registers of f32.
+const SPMM_W: usize = 64;
+
+/// One kernel call over a block of output rows.
+enum Job<'a> {
     Matmul { a: &'a [f32], b: &'a [f32], k: usize, n: usize },
     TransA { a: &'a [f32], m: usize, rows: Range<usize>, b: &'a [f32], n: usize },
     TransB { a: &'a [f32], b: &'a [f32], k: usize, n: usize },
+    Spmm { a: Csr<'a>, x: &'a [f32], x_cols: usize },
 }
 
 /// The kernels compiled for the target's baseline features.
 #[inline(never)]
-fn run_generic(job: Gemm<'_>, out: &mut [f32]) {
+fn run_generic(job: Job<'_>, out: &mut [f32]) {
     match job {
-        Gemm::Matmul { a, b, k, n } => matmul_generic(a, b, k, n, out),
-        Gemm::TransA { a, m, rows, b, n } => transa_generic(a, m, rows, b, n, out),
-        Gemm::TransB { a, b, k, n } => transb_generic(a, b, k, n, out),
+        Job::Matmul { a, b, k, n } => matmul_generic(a, b, k, n, out),
+        Job::TransA { a, m, rows, b, n } => transa_generic(a, m, rows, b, n, out),
+        Job::TransB { a, b, k, n } => transb_generic(a, b, k, n, out),
+        Job::Spmm { a, x, x_cols } => spmm_generic(a, x, x_cols, out),
     }
 }
 
 /// The same kernels compiled with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_avx2(job: Gemm<'_>, out: &mut [f32]) {
+fn run_avx2(job: Job<'_>, out: &mut [f32]) {
     match job {
-        Gemm::Matmul { a, b, k, n } => matmul_avx2(a, b, k, n, out),
-        Gemm::TransA { a, m, rows, b, n } => transa_avx2(a, m, rows, b, n, out),
-        Gemm::TransB { a, b, k, n } => transb_avx2(a, b, k, n, out),
+        Job::Matmul { a, b, k, n } => matmul_avx2(a, b, k, n, out),
+        Job::TransA { a, m, rows, b, n } => transa_avx2(a, m, rows, b, n, out),
+        Job::TransB { a, b, k, n } => transb_avx2(a, b, k, n, out),
+        Job::Spmm { a, x, x_cols } => spmm_avx2(a, x, x_cols, out),
     }
 }
 
@@ -266,6 +275,10 @@ fn transa_generic(a: &[f32], m: usize, rows: Range<usize>, b: &[f32], n: usize, 
 #[inline(never)]
 fn transb_generic(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     transb_body(a, b, k, n, out);
+}
+#[inline(never)]
+fn spmm_generic(a: Csr<'_>, x: &[f32], x_cols: usize, out: &mut [f32]) {
+    spmm_body(a, x, x_cols, out);
 }
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -284,6 +297,12 @@ fn transa_avx2(a: &[f32], m: usize, rows: Range<usize>, b: &[f32], n: usize, out
 #[inline(never)]
 fn transb_avx2(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     transb_body(a, b, k, n, out);
+}
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn spmm_avx2(a: Csr<'_>, x: &[f32], x_cols: usize, out: &mut [f32]) {
+    spmm_body(a, x, x_cols, out);
 }
 
 /// `out += a · b` for one block of output rows: `a` is those rows of the
@@ -304,7 +323,7 @@ fn transb_avx2(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
 /// # Panics
 /// Panics if the slice lengths do not match the shapes.
 pub fn matmul(build: Build, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    build.run(Gemm::Matmul { a, b, k, n }, out);
+    build.run(Job::Matmul { a, b, k, n }, out);
 }
 
 /// `out += aᵀ · b` for output rows `rows` (columns of `a`): `a` is
@@ -328,7 +347,7 @@ pub fn matmul_transa(
     n: usize,
     out: &mut [f32],
 ) {
-    build.run(Gemm::TransA { a, m, rows, b, n }, out);
+    build.run(Job::TransA { a, m, rows, b, n }, out);
 }
 
 /// `out = a · bᵀ` for one block of output rows: `a` is those rows of the
@@ -343,7 +362,40 @@ pub fn matmul_transa(
 /// # Panics
 /// Panics if the slice lengths do not match the shapes.
 pub fn matmul_transb(build: Build, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    build.run(Gemm::TransB { a, b, k, n }, out);
+    build.run(Job::TransB { a, b, k, n }, out);
+}
+
+/// A block of rows of a CSR matrix: row i of the block holds the terms
+/// `row_ptr[i]..row_ptr[i + 1]` of `col_idx` and `values`, so `row_ptr`
+/// is one entry longer than the block has rows.
+#[derive(Clone, Copy, Debug)]
+pub struct Csr<'a> {
+    /// Term offsets, ascending; `rows + 1` long.
+    pub row_ptr: &'a [usize],
+    /// Column of each term, ascending within a row.
+    pub col_idx: &'a [u32],
+    /// Weight of each term.
+    pub values: &'a [f32],
+}
+
+/// `out = a · x` for one block of CSR rows `a`: `x` is row-major with
+/// `x_cols` columns, `out` is `rows × x_cols`, and every element of `out`
+/// is written.
+///
+/// Each output element starts at `+0.0` and receives the row's stored
+/// terms in ascending column order, one `+= v·x` each, with no term
+/// skipped — a stored zero weight still meets a non-finite `x`. That is
+/// the scalar loop's operation sequence, so the result is that loop's bit
+/// for bit, in either [`Build`] and over any row partition. Every full
+/// window of 64 output columns keeps its accumulators in registers across
+/// all of the row's terms and is written once; the columns past the last
+/// full window run [`lane_axpy4`] row code.
+///
+/// # Panics
+/// Panics if `a.row_ptr` is empty or runs past `a.col_idx` or `a.values`,
+/// if `out` is not `rows × x_cols`, or if a column is not a row of `x`.
+pub fn spmm(build: Build, a: Csr<'_>, x: &[f32], x_cols: usize, out: &mut [f32]) {
+    build.run(Job::Spmm { a, x, x_cols }, out);
 }
 
 /// `WIDE` is set in the AVX2 build, whose sixteen 256-bit registers hold
@@ -480,6 +532,67 @@ fn transb_body(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     let a_rest = a_tiles.remainder().chunks_exact(k);
     for (a_row, o_row) in a_rest.zip(out_tiles.into_remainder().chunks_exact_mut(n)) {
         transb_row(a_row, b, k, 0, o_row);
+    }
+}
+
+#[inline(always)]
+fn spmm_body(a: Csr<'_>, x: &[f32], x_cols: usize, out: &mut [f32]) {
+    let end = a.row_ptr.last().copied();
+    assert!(
+        end.is_some_and(|end| end <= a.col_idx.len() && end <= a.values.len())
+            && out.len() == (a.row_ptr.len() - 1) * x_cols,
+        "spmm: shape mismatch"
+    );
+    if x_cols == 0 {
+        return;
+    }
+    let main = x_cols - x_cols % SPMM_W;
+    for (terms, out_row) in a.row_ptr.windows(2).zip(out.chunks_exact_mut(x_cols)) {
+        let (cols, vals) = (&a.col_idx[terms[0]..terms[1]], &a.values[terms[0]..terms[1]]);
+        for j0 in (0..main).step_by(SPMM_W) {
+            let p = |c: u32| window::<SPMM_W>(x, c as usize * x_cols + j0);
+            let mut acc = [0.0f32; SPMM_W];
+            let mut quads = cols.chunks_exact(4);
+            for (c, v) in quads.by_ref().zip(vals.chunks_exact(4)) {
+                let (p0, p1, p2, p3) = (p(c[0]), p(c[1]), p(c[2]), p(c[3]));
+                for l in 0..SPMM_W {
+                    acc[l] += v[0] * p0[l];
+                    acc[l] += v[1] * p1[l];
+                    acc[l] += v[2] * p2[l];
+                    acc[l] += v[3] * p3[l];
+                }
+            }
+            let rest = cols.len() - quads.remainder().len();
+            for (&c, &v) in quads.remainder().iter().zip(&vals[rest..]) {
+                let p0 = p(c);
+                for l in 0..SPMM_W {
+                    acc[l] += v * p0[l];
+                }
+            }
+            out_row[j0..j0 + SPMM_W].copy_from_slice(&acc);
+        }
+        if main < x_cols {
+            spmm_row(cols, vals, x, x_cols, &mut out_row[main..]);
+        }
+    }
+}
+
+/// Row code for [`spmm`]: one output row over columns
+/// `x_cols - out.len()..x_cols`, from `+0.0`, four terms per
+/// [`lane_axpy4`].
+#[inline(always)]
+fn spmm_row(cols: &[u32], vals: &[f32], x: &[f32], x_cols: usize, out: &mut [f32]) {
+    let j0 = x_cols - out.len();
+    let x_row = |c: u32| &x[c as usize * x_cols + j0..(c as usize + 1) * x_cols];
+    out.fill(0.0);
+    let mut quads = cols.chunks_exact(4);
+    for (c, v) in quads.by_ref().zip(vals.chunks_exact(4)) {
+        let w = [v[0], v[1], v[2], v[3]];
+        lane_axpy4(out, w, x_row(c[0]), x_row(c[1]), x_row(c[2]), x_row(c[3]));
+    }
+    let rest = cols.len() - quads.remainder().len();
+    for (&c, &v) in quads.remainder().iter().zip(&vals[rest..]) {
+        lane_axpy(out, v, x_row(c));
     }
 }
 
