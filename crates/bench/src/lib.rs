@@ -369,11 +369,17 @@ pub fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
 /// Minimum of `time(i)` for every `i < n` over `reps` interleaved
 /// rounds. Each round times every case once, so a slow stretch of a
 /// shared host slows all cases alike instead of one case's whole series.
+/// Round `r` starts at case `r mod n`, and odd rounds walk the cases
+/// backwards: a rotation alone keeps the cyclic order, so case 0 would
+/// still always run right after case `n - 1` and pay whatever that case
+/// leaves behind (a trimmed heap, cold caches).
 pub fn min_of_rounds(n: usize, reps: usize, mut time: impl FnMut(usize) -> f64) -> Vec<f64> {
     let mut best = vec![f64::INFINITY; n];
-    for _ in 0..reps {
-        for (i, best) in best.iter_mut().enumerate() {
-            *best = best.min(time(i));
+    for round in 0..reps {
+        for j in 0..n {
+            let step = if round % 2 == 0 { j } else { n - j };
+            let i = (round + step) % n;
+            best[i] = best[i].min(time(i));
         }
     }
     best
@@ -502,6 +508,17 @@ mod tests {
         assert!(err.contains("--chek"), "{err}");
         assert!(parse(&["--check", "b.json"], false).is_err(), "--check is opt-in per binary");
         assert!(parse(&["stray"], true).is_err());
+    }
+
+    #[test]
+    fn min_of_rounds_varies_each_cases_predecessor() {
+        let mut order = Vec::new();
+        let best = min_of_rounds(3, 4, |i| {
+            order.push(i);
+            (10 * i + order.len()) as f64
+        });
+        assert_eq!(order, [0, 1, 2, 1, 0, 2, 2, 0, 1, 0, 2, 1]);
+        assert_eq!(best, [1.0, 12.0, 23.0]);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod store;
 
 pub use fingerprint::{fingerprint_bytes, fingerprint_csr, fingerprint_dense, word_digest, Fnv1a};
 pub use stats::{
-    record_feat_extend, record_feat_hit, record_feat_miss, record_op_hit, record_op_miss,
-    reset_stats, stats, CacheStats,
+    record_feat_extend, record_feat_hit, record_feat_miss, record_op_hit, record_op_miss, stats,
+    CacheStats,
 };
 pub use store::SharedStore;
 

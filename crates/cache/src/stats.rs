@@ -43,20 +43,9 @@ pub fn record_feat_extend() {
     FEAT_EXTENDS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Resets all counters to zero. Test-only escape hatch: production readers
-/// use snapshot + [`CacheStats::delta`], which stays correct under
-/// concurrency where a reset would not.
-pub fn reset_stats() {
-    OP_HITS.store(0, Ordering::Relaxed);
-    OP_MISSES.store(0, Ordering::Relaxed);
-    FEAT_HITS.store(0, Ordering::Relaxed);
-    FEAT_MISSES.store(0, Ordering::Relaxed);
-    FEAT_EXTENDS.store(0, Ordering::Relaxed);
-}
-
 /// Snapshot of the process-wide precompute-cache counters.
 ///
-/// Values are cumulative since process start (or [`reset_stats`]); compare
+/// Values are cumulative since process start; compare
 /// two snapshots with [`CacheStats::delta`] to attribute activity to a
 /// region (one training run, one grid search, one benchmark sweep).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,8 +64,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Counter increments accumulated since the `earlier` snapshot.
-    /// Saturating, so a test-only [`reset_stats`] between snapshots yields
-    /// zeros rather than wrapping.
+    /// Saturating, so snapshots passed in the wrong order yield zeros
+    /// rather than wrapping.
     pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             op_hits: self.op_hits.saturating_sub(earlier.op_hits),

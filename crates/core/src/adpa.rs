@@ -42,7 +42,6 @@ use amud_nn::{Activation, DenseMatrix, Linear, Mlp, NodeId, ParamBank, ParamId, 
 use amud_train::{GraphData, Model, TrainError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::borrow::Cow;
 
 /// The node-wise DP attention variant (Table VII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,20 +157,18 @@ impl Adpa {
         }
         if let Some(r) = cfg.dp_select {
             let ranked = rank_patterns(
-                keep.iter().map(|&i| &ops[i]),
+                keep.iter().map(|&i| &*ops[i]),
                 &data.labels,
                 data.n_classes,
                 Some(&data.train),
             );
             keep = ranked.iter().take(r.max(1).min(keep.len())).map(|&(i, _)| keep[i]).collect();
         }
-        // The cached set is shared; only a selection that drops or reorders
-        // operators builds a set of its own.
-        let (patterns, key) = if keep.iter().copied().eq(0..full.len()) {
-            (Cow::Borrowed(&*full), key)
-        } else {
-            (Cow::Owned(full.select(&keep)), key.with_selection(&keep))
-        };
+        // Selecting shares the cached matrices, and a `keep` that drops or
+        // reorders nothing leaves the key unchanged, so the propagated
+        // tensor of the full set is still hit.
+        let patterns = full.select(&keep);
+        let key = key.with_selection(&keep);
         let pattern_names = patterns.patterns().iter().map(|p| p.name()).collect();
         let propagated =
             crate::precompute::propagated(&key, &patterns, &data.features, cfg.k_steps)?;

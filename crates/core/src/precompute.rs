@@ -27,6 +27,12 @@
 //!   tensor serves any `k ≤ 5` via `Arc` prefix views; a request beyond
 //!   the cached depth extends incrementally from the last cached step.
 //!
+//! The RAW entry is the one owner of each boolean operator. A normalised
+//! set holds `Arc` handles to the entry's operators and owns only its
+//! propagators, and a set selected from it (`PatternSet::select`) shares
+//! both, so no operator matrix is ever copied; an evicted RAW entry's
+//! operators live on for as long as a set still holds them.
+//!
 //! ## Determinism
 //!
 //! Every cached artifact is the output of a deterministic function of
@@ -88,7 +94,15 @@ impl OpSetKey {
 /// products).
 struct RawOps {
     patterns: Vec<DirectedPattern>,
-    operators: Vec<CsrMatrix>,
+    operators: Vec<Arc<CsrMatrix>>,
+}
+
+impl RawOps {
+    /// Materialises `patterns` over `adj`, each distinct product once.
+    fn materialize(adj: &CsrMatrix, patterns: Vec<DirectedPattern>) -> amud_graph::Result<Self> {
+        let operators = DirectedPattern::materialize_all(adj, &patterns)?;
+        Ok(Self { patterns, operators: operators.into_iter().map(Arc::new).collect() })
+    }
 }
 
 /// The order-≤2 DP family of one adjacency, as AMUD scores it: `A`, `Aᵀ`
@@ -113,12 +127,12 @@ impl TwoHopFamily {
             return Self { key, raw };
         }
         let patterns = DirectedPattern::enumerate_up_to(Self::ORDER);
-        let Ok(operators) = DirectedPattern::materialize_all(adj, &patterns) else {
+        let Ok(raw) = RawOps::materialize(adj, patterns) else {
             // materialize_all only fails on a bool_matmul dimension
             // mismatch, impossible for a square adjacency.
             unreachable!("square adjacency materialises every pattern")
         };
-        Self { key, raw: Arc::new(RawOps { patterns, operators }) }
+        Self { key, raw: Arc::new(raw) }
     }
 
     /// The four 2-hop patterns and their operators, in
@@ -129,7 +143,7 @@ impl TwoHopFamily {
             .iter()
             .zip(&self.raw.operators)
             .filter(|(p, _)| p.order() == Self::ORDER)
-            .map(|(p, op)| (p.clone(), op))
+            .map(|(p, op)| (p.clone(), &**op))
             .unzip()
     }
 
@@ -162,8 +176,9 @@ fn feat_store() -> &'static SharedStore<(OpSetKey, u64), PropagatedFeatures> {
 /// [`OpSetKey`] addressing it (initially selecting the full family).
 ///
 /// On a miss, the raw boolean family is looked up — or materialised with
-/// shared-prefix memoisation — and re-normalised for this `conv_r`. With
-/// the cache disabled this is exactly [`PatternSet::build_normalized`].
+/// shared-prefix memoisation — and re-normalised for this `conv_r`; the
+/// set shares the RAW entry's operators. With the cache disabled this is
+/// exactly [`PatternSet::build_normalized`].
 pub fn operators(
     adj: &CsrMatrix,
     max_order: usize,
@@ -189,8 +204,7 @@ pub fn operators(
     let raw = match raw_store().get(&raw_key) {
         Some(raw) => raw,
         None => {
-            let operators = DirectedPattern::materialize_all(adj, &family)?;
-            let raw = Arc::new(RawOps { patterns: family, operators });
+            let raw = Arc::new(RawOps::materialize(adj, family)?);
             raw_store().insert(raw_key, Arc::clone(&raw));
             raw
         }
@@ -299,8 +313,10 @@ mod tests {
             let adj = toy_adj();
             let (a, _) = operators(&adj, 2, 0.0).unwrap();
             let (b, _) = operators(&adj, 2, 0.5).unwrap();
-            // Distinct normalisations over the same boolean operators.
+            // Distinct normalisations over the same boolean operators,
+            // shared with the RAW entry rather than copied.
             assert_eq!(a.operators(), b.operators());
+            assert!(a.operators().iter().zip(b.operators()).all(|(x, y)| Arc::ptr_eq(x, y)));
             assert_ne!(a.propagators(), b.propagators());
             // And both bitwise-match an uncached direct build.
             let direct =
@@ -363,6 +379,10 @@ mod tests {
             let sub = set.select(&[1]);
             let sub_key = key.with_selection(&[1]);
             assert_ne!(key, sub_key);
+            assert!(
+                Arc::ptr_eq(&sub.propagators()[0], &set.propagators()[1]),
+                "selecting must share the propagator, not copy it"
+            );
             let full = propagated(&key, &set, &x, 2).unwrap();
             let narrow = propagated(&sub_key, &sub, &x, 2).unwrap();
             assert_eq!(narrow.n_patterns(), 1);
@@ -375,6 +395,9 @@ mod tests {
     fn selection_composition_maps_through() {
         let key =
             OpSetKey { graph_fp: 7, max_order: 2, conv_r_bits: 0, selection: vec![0, 1, 2, 3] };
+        // The identity selection keeps the key, so a set that drops
+        // nothing still hits the full set's propagated tensor.
+        assert_eq!(key.with_selection(&[0, 1, 2, 3]), key);
         let first = key.with_selection(&[0, 2, 3]);
         assert_eq!(first.selection, vec![0, 2, 3]);
         let second = first.with_selection(&[1, 2]);

@@ -69,11 +69,6 @@ impl DiGraph {
         &self.adj
     }
 
-    /// The transposed adjacency `A_dᵀ` (in-edges become out-edges).
-    pub fn adjacency_t(&self) -> CsrMatrix {
-        self.adj.transpose()
-    }
-
     /// The coarse undirected transformation `A_u = A_d ∪ A_dᵀ` — the
     /// operation the paper argues is applied too indiscriminately (Sec. I,
     /// L2). Labels are preserved.
@@ -122,11 +117,6 @@ impl DiGraph {
             deg[c] += 1;
         }
         deg
-    }
-
-    /// Out-neighbours of `v` (sorted).
-    pub fn out_neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj.row_cols(v).iter().map(|&c| c as usize)
     }
 
     /// All directed edges as `(src, dst)` pairs.

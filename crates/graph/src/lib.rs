@@ -18,9 +18,6 @@
 //! * [`patterns`] — directed-pattern (DP) operator construction: `A`, `Aᵀ`,
 //!   the four 2-order products `AA, AᵀAᵀ, AAᵀ, AᵀA`, and the general order-N
 //!   enumeration used by ADPA (Sec. IV-B).
-//! * [`generate`] — low-level random-digraph helpers used by the synthetic
-//!   dataset generators.
-//! * [`io`] — plain-text persistence for labelled digraphs.
 //!
 //! All index types are `u32` internally (graphs in the paper top out at
 //! ~25k nodes); public APIs use `usize`.
@@ -47,8 +44,6 @@
 
 pub mod csr;
 pub mod digraph;
-pub mod generate;
-pub mod io;
 pub mod measures;
 pub mod patterns;
 

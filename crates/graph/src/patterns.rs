@@ -11,10 +11,17 @@
 //!
 //! Order-N enumeration yields `2¹ + 2² + … + 2ᴺ` operators, matching the
 //! paper's `k` accounting (k=2 at order 1, k=6 at order 2).
+//!
+//! Each operator has one owner. [`DirectedPattern::materialize_all`] returns
+//! the boolean matrices by value; a [`PatternSet`] takes them as `Arc`
+//! handles and adds one normalised propagator per operator, so sets built
+//! from the same materialisation (one per `conv_r`, or one per DP
+//! selection) share every matrix instead of copying it.
 
 use crate::csr::CsrMatrix;
 use crate::{GraphError, Result};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One hop direction in a directed-pattern word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,48 +186,46 @@ fn validate_conv_r(conv_r: f32) -> Result<()> {
     }
 }
 
-/// A set of materialised DP operators plus their row-normalised propagation
+/// A set of materialised DP operators plus their normalised propagation
 /// versions — what ADPA precomputes once per graph (Sec. IV-B).
+///
+/// The set holds its matrices by `Arc`: operators shared with whoever
+/// materialised them (in `amud-core`, the precompute store's RAW entry for
+/// the graph), and propagators shared with every set selected from it, so
+/// building, selecting and caching a set copy no matrix.
 #[derive(Debug, Clone)]
 pub struct PatternSet {
     patterns: Vec<DirectedPattern>,
     /// Boolean pattern matrices (diagonal-free), parallel to `patterns`.
-    operators: Vec<CsrMatrix>,
-    /// Row-normalised (`D⁻¹ G`) propagation operators, parallel to `patterns`.
-    propagators: Vec<CsrMatrix>,
+    operators: Vec<Arc<CsrMatrix>>,
+    /// Normalised (Eq. 1) propagation operators, parallel to `patterns`.
+    propagators: Vec<Arc<CsrMatrix>>,
 }
 
 impl PatternSet {
-    /// Materialises every pattern in `patterns` over adjacency `a`, with
-    /// row-stochastic propagation operators (`r = 0` in Eq. 1).
-    pub fn build(a: &CsrMatrix, patterns: Vec<DirectedPattern>) -> Result<Self> {
-        Self::build_normalized(a, patterns, 0.0)
-    }
-
-    /// Like [`PatternSet::build`] but with the general Eq. 1 degree
-    /// normalisation `D^{r-1} G D^{-r}` for each pattern operator — the
-    /// paper's tunable "convolution kernel coefficient" `r ∈ [0, 1]`
-    /// (`r = 0` reverse-transition, `r = 0.5` symmetric, `r = 1`
-    /// random-walk).
+    /// Materialises every pattern in `patterns` over adjacency `a` and
+    /// normalises each with the general Eq. 1 degree normalisation
+    /// `D^{r-1} G D^{-r}` — the paper's tunable "convolution kernel
+    /// coefficient" `r ∈ [0, 1]` (`r = 0` reverse-transition, `r = 0.5`
+    /// symmetric, `r = 1` random-walk).
     pub fn build_normalized(
         a: &CsrMatrix,
         patterns: Vec<DirectedPattern>,
         conv_r: f32,
     ) -> Result<Self> {
-        validate_conv_r(conv_r)?;
         let operators = DirectedPattern::materialize_all(a, &patterns)?;
-        let propagators = operators.iter().map(|op| op.normalized(conv_r)).collect();
-        Ok(Self { patterns, operators, propagators })
+        Self::from_parts(patterns, operators.into_iter().map(Arc::new).collect(), conv_r)
     }
 
-    /// Assembles a set from already-materialised boolean operators,
-    /// normalising each with coefficient `conv_r`. This is the re-use path
-    /// of the precompute cache: one raw materialisation per graph serves
-    /// every `conv_r` a sweep visits. `patterns` and `operators` must be
-    /// parallel (same length, `operators[i]` materialising `patterns[i]`).
+    /// Assembles a set over already-materialised boolean operators,
+    /// normalising each with coefficient `conv_r`; the set shares
+    /// `operators` rather than copying them. This is the re-use path of the
+    /// precompute cache: one raw materialisation per graph serves every
+    /// `conv_r` a sweep visits. `patterns` and `operators` must be parallel
+    /// (same length, `operators[i]` materialising `patterns[i]`).
     pub fn from_parts(
         patterns: Vec<DirectedPattern>,
-        operators: Vec<CsrMatrix>,
+        operators: Vec<Arc<CsrMatrix>>,
         conv_r: f32,
     ) -> Result<Self> {
         validate_conv_r(conv_r)?;
@@ -230,13 +235,14 @@ impl PatternSet {
                 got: (operators.len(), operators.len()),
             });
         }
-        let propagators = operators.iter().map(|op| op.normalized(conv_r)).collect();
+        let propagators = operators.iter().map(|op| Arc::new(op.normalized(conv_r))).collect();
         Ok(Self { patterns, operators, propagators })
     }
 
-    /// All patterns of order `1..=max_order` over `a`.
+    /// All patterns of order `1..=max_order` over `a`, with row-stochastic
+    /// propagation operators (`r = 0` in Eq. 1).
     pub fn up_to_order(a: &CsrMatrix, max_order: usize) -> Result<Self> {
-        Self::build(a, DirectedPattern::enumerate_up_to(max_order))
+        Self::build_normalized(a, DirectedPattern::enumerate_up_to(max_order), 0.0)
     }
 
     pub fn len(&self) -> usize {
@@ -252,28 +258,24 @@ impl PatternSet {
     }
 
     /// The boolean pattern matrices.
-    pub fn operators(&self) -> &[CsrMatrix] {
+    pub fn operators(&self) -> &[Arc<CsrMatrix>] {
         &self.operators
     }
 
-    /// The row-normalised propagation operators.
-    pub fn propagators(&self) -> &[CsrMatrix] {
+    /// The normalised propagation operators.
+    pub fn propagators(&self) -> &[Arc<CsrMatrix>] {
         &self.propagators
     }
 
     /// Keeps only the patterns at `indices` (used after AMUD-guided DP
-    /// selection, Sec. IV-B).
+    /// selection, Sec. IV-B). The result shares every kept matrix with
+    /// `self`.
     pub fn select(&self, indices: &[usize]) -> Self {
         Self {
             patterns: indices.iter().map(|&i| self.patterns[i].clone()).collect(),
-            operators: indices.iter().map(|&i| self.operators[i].clone()).collect(),
-            propagators: indices.iter().map(|&i| self.propagators[i].clone()).collect(),
+            operators: indices.iter().map(|&i| Arc::clone(&self.operators[i])).collect(),
+            propagators: indices.iter().map(|&i| Arc::clone(&self.propagators[i])).collect(),
         }
-    }
-
-    /// Total stored entries across all operators (memory diagnostics).
-    pub fn total_nnz(&self) -> usize {
-        self.operators.iter().map(CsrMatrix::nnz).sum()
     }
 }
 
@@ -410,6 +412,7 @@ mod tests {
         let pats = DirectedPattern::two_order();
         let built = PatternSet::build_normalized(&a, pats.clone(), 0.5).unwrap();
         let ops = DirectedPattern::materialize_all(&a, &pats).unwrap();
+        let ops = ops.into_iter().map(Arc::new).collect();
         let assembled = PatternSet::from_parts(pats, ops, 0.5).unwrap();
         assert_eq!(assembled.operators(), built.operators());
         assert_eq!(assembled.propagators(), built.propagators());
@@ -419,7 +422,11 @@ mod tests {
     fn from_parts_rejects_length_mismatch() {
         let a = toy();
         let pats = DirectedPattern::two_order();
-        let mut ops = DirectedPattern::materialize_all(&a, &pats).unwrap();
+        let mut ops: Vec<_> = DirectedPattern::materialize_all(&a, &pats)
+            .unwrap()
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         ops.pop();
         assert!(PatternSet::from_parts(pats, ops, 0.0).is_err());
     }

@@ -93,11 +93,6 @@ pub fn complex_add(tape: &mut Tape, a: ComplexNode, b: ComplexNode) -> ComplexNo
     ComplexNode { re: tape.add(a.re, b.re), im: tape.add(a.im, b.im) }
 }
 
-/// Scales both parts by a real constant.
-pub fn complex_scale(tape: &mut Tape, a: ComplexNode, alpha: f32) -> ComplexNode {
-    ComplexNode { re: tape.scale(a.re, alpha), im: tape.scale(a.im, alpha) }
-}
-
 /// Applies a *real* linear map (shared across parts, as MagNet does with
 /// independent weights per part composed at the call site).
 pub fn complex_apply(

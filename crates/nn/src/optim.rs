@@ -98,11 +98,6 @@ impl ParamBank {
         }
     }
 
-    /// Whether every parameter *value* is finite (post-update health check).
-    pub fn values_finite(&self) -> bool {
-        self.params.iter().all(|p| p.value.as_slice().iter().all(|v| v.is_finite()))
-    }
-
     /// Global L2 norm of all gradients (for clipping / diagnostics).
     pub fn grad_norm(&self) -> f32 {
         self.params

@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Which directed patterns carry the signal? (Sec. IV-B DP selection.)
     let patterns = PatternSet::up_to_order(&data.adj, 2)?;
-    let ranked =
-        rank_patterns(patterns.operators(), &data.labels, data.n_classes, Some(&data.train));
+    let operators = patterns.operators().iter().map(|op| &**op);
+    let ranked = rank_patterns(operators, &data.labels, data.n_classes, Some(&data.train));
     println!("\nDP operators ranked by label correlation:");
     for (idx, r) in &ranked {
         println!("  {:<6} r = {:+.4}", patterns.patterns()[*idx].name(), r);
